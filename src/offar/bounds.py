@@ -17,11 +17,12 @@ import numpy as np
 __all__ = ["BoundReport", "theory_bounds", "bounds_for_problem"]
 
 
-def _ceil_tight(t: float) -> int:
-    """Ceiling that forgives float noise within 1e-9 relative of an integer."""
-    near = round(t)
-    if abs(t - near) <= 1e-9 * max(1.0, abs(t)):
-        return int(near)
+def _ceil_snapped(t: float) -> int:
+    """ceil, but a value within 1e-9 relative of an integer snaps to it: exact
+    counts such as 0.1^-2 = 100 may come out of libm pow on either side."""
+    nearest = round(t)
+    if abs(t - nearest) <= 1e-9 * max(1.0, abs(t)):
+        return int(nearest)
     return math.ceil(t)
 
 
@@ -85,7 +86,7 @@ def theory_bounds(
     k_star_raw = (
         2.0 * L / (eps1 * vartheta * fact) * ((1.0 + theta1) * L / sigma0 + theta1)
     ) ** pexp
-    k_star = _ceil_tight(k_star_raw)
+    k_star = _ceil_snapped(k_star_raw)
 
     neg = max(0.0, -kappa_high)
     eta = 0.0
@@ -140,7 +141,7 @@ def theory_bounds(
         )
         report.kappa_both = kappa_both
         report.k_star2_raw = k_star2_raw
-        report.k_star2 = _ceil_tight(k_star2_raw)
+        report.k_star2 = _ceil_snapped(k_star2_raw)
 
     if g0_norm is None or f0 is None or f_low is None:
         return report

@@ -20,6 +20,12 @@ import numpy as np
 Array = np.ndarray
 
 
+def vnorm(v: Array) -> float:
+    """float(np.linalg.norm(v)) for a 1-D float array, bit for bit, minus its dispatch."""
+    v = v.ravel(order="K")
+    return math.sqrt(v.dot(v))
+
+
 def _as_vector(x) -> Array:
     v = np.asarray(x, dtype=float)
     if v.ndim == 0:
@@ -61,16 +67,11 @@ class DerivativeBundle:
 
     def is_finite(self, *, need_hessian: bool = False) -> bool:
         """Finiteness of the derivative data; fvalue is not consulted."""
-        if not np.all(np.isfinite(self.gradient)):
+        if not np.isfinite(self.gradient).all():
             return False
-        if need_hessian:
-            if self.hessian is None:
-                return False
-            if not np.all(np.isfinite(self.hessian)):
-                return False
-        elif self.hessian is not None and not np.all(np.isfinite(self.hessian)):
-            return False
-        return True
+        if self.hessian is None:
+            return not need_hessian
+        return bool(np.isfinite(self.hessian).all())
 
 
 @dataclass
@@ -115,7 +116,7 @@ def taylor_decrease(model: RegularizedModel, s) -> float:
 def model_value(model: RegularizedModel, s) -> float:
     """m(s) - m(0); negative iff s is a descent step for the model."""
     s = _check_step(model, s)
-    norm = float(np.linalg.norm(s))
+    norm = vnorm(s)
     reg = model.sigma / math.factorial(model.degree + 1) * norm ** (model.degree + 1)
     return -taylor_decrease(model, s) + reg
 
@@ -126,7 +127,7 @@ def model_gradient(model: RegularizedModel, s) -> Array:
     g = model.bundle.gradient.copy()
     if model.degree == 2:
         g += model.bundle.hessian @ s
-    norm = float(np.linalg.norm(s))
+    norm = vnorm(s)
     g += model.sigma / math.factorial(model.degree) * norm ** (model.degree - 1) * s
     return g
 
@@ -141,7 +142,7 @@ def taylor_gradient(model: RegularizedModel, s) -> Array:
 
 
 def taylor_gradient_norm(model: RegularizedModel, s) -> float:
-    return float(np.linalg.norm(taylor_gradient(model, s)))
+    return vnorm(taylor_gradient(model, s))
 
 
 def taylor_min_curvature(model: RegularizedModel) -> float:

@@ -13,6 +13,7 @@ Lipschitz constants.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable
@@ -493,6 +494,16 @@ class NoiseSpec:
             raise ValueError(f"unknown noise targets: {sorted(bad)}")
 
 
+@functools.cache
+def _triangle(n: int) -> tuple[Array, Array]:
+    """Flat indices of the upper triangle of an n x n matrix, in np.triu_indices
+    order, and of its mirror image; built once per n and read-only."""
+    rows, cols = np.triu_indices(n)
+    upper, lower = rows * n + cols, cols * n + rows
+    upper.flags.writeable = lower.flags.writeable = False
+    return upper, lower
+
+
 class _NoisyEvaluator:
     def __init__(self, inner, spec: NoiseSpec):
         self.inner = inner
@@ -516,11 +527,14 @@ class _NoisyEvaluator:
             g = g * (1.0 + lvl * rng.standard_normal(g.size))
         H = bundle.hessian
         if "hessian" in spec.targets and H is not None:
-            iu = np.triu_indices(H.shape[0])
-            vals = H[iu] * (1.0 + lvl * rng.standard_normal(iu[0].size))
-            Hn = np.zeros_like(H)
-            Hn[iu] = vals
-            H = Hn + Hn.T - np.diag(np.diag(Hn))
+            upper, lower = _triangle(H.shape[0])
+            # + 0.0 turns -0.0 into +0.0, keeping the noisy Hessians of recorded
+            # runs (tests/data/fingerprints.json) bit for bit.
+            vals = H.take(upper) * (1.0 + lvl * rng.standard_normal(upper.size)) + 0.0
+            H = np.empty(H.shape)
+            flat = H.reshape(-1)
+            flat[upper] = vals
+            flat[lower] = vals
         return DerivativeBundle(gradient=g, hessian=H, fvalue=f)
 
 

@@ -23,7 +23,7 @@ from enum import Enum
 
 import numpy as np
 
-from .model import DerivativeBundle, RegularizedModel, taylor_decrease
+from .model import DerivativeBundle, RegularizedModel, taylor_decrease, vnorm
 from .subsolver import StepResult, certify, solve_p1, solve_p2
 from .trace import RunTrace
 
@@ -280,7 +280,7 @@ def _run_offo(problem, config: OffoConfig, *, second_order: bool,
         trace.append(k=0, grad_norm=math.nan)
         return RunOutcome(RunStatus.ORACLE_OVERFLOW, x, math.nan, 0, trace,
                           history=history)
-    gnorm = float(np.linalg.norm(bundle.gradient))
+    gnorm = vnorm(bundle.gradient)
     # The first-order driver never needs eigenvalues ahead of the subproblem
     # solve, so lambda_min is tracked per iterate only in the second-order one.
     min_eig = _min_eig(bundle) if second_order else None
@@ -346,7 +346,7 @@ def _run_offo(problem, config: OffoConfig, *, second_order: bool,
             raise CertificateError(
                 f"step conditions failed at iteration {k} (sigma={sigma!r})")
 
-        snorm = float(np.linalg.norm(step.step))
+        snorm = vnorm(step.step)
         trace.append(
             k=k, grad_norm=gnorm, sigma=sigma, nu=state.nu,
             mu1=math.nan if state.mu1 is None else state.mu1,
@@ -376,7 +376,7 @@ def _run_offo(problem, config: OffoConfig, *, second_order: bool,
             gnorm = math.nan
             min_eig = math.nan if second_order else None
             break
-        gnorm = float(np.linalg.norm(bundle.gradient))
+        gnorm = vnorm(bundle.gradient)
         min_eig = _min_eig(bundle) if second_order else None
         if collect_history:
             history.xs.append(x.copy())
@@ -416,7 +416,7 @@ def run_ar2(problem, config: Ar2Config, *, collect_history: bool = False) -> Run
         trace.append(k=0, grad_norm=math.nan)
         return RunOutcome(RunStatus.ORACLE_OVERFLOW, x, math.nan, 0, trace,
                           history=history)
-    gnorm = float(np.linalg.norm(bundle.gradient))
+    gnorm = vnorm(bundle.gradient)
     sigma = config.sigma0
     if collect_history:
         history.xs.append(x.copy())
@@ -451,7 +451,7 @@ def run_ar2(problem, config: Ar2Config, *, collect_history: bool = False) -> Run
 
         trace.append(
             k=k, grad_norm=gnorm, sigma=sigma,
-            step_norm=float(np.linalg.norm(step.step)),
+            step_norm=vnorm(step.step),
             model_reduction=step.model_reduction,
             taylor_grad_norm=step.taylor_grad_norm,
             min_eig=step.taylor_min_curv,
@@ -464,7 +464,7 @@ def run_ar2(problem, config: Ar2Config, *, collect_history: bool = False) -> Run
         if accepted:
             x = trial_x
             bundle = trial
-            gnorm = float(np.linalg.norm(bundle.gradient))
+            gnorm = vnorm(bundle.gradient)
             if rho >= config.eta2:
                 sigma = max(config.sigma_min, config.gamma2 * sigma)
         else:

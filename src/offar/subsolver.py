@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import RegularizedModel, model_value, taylor_gradient_norm
+from .model import RegularizedModel, model_value, taylor_gradient_norm, vnorm
 
 Array = np.ndarray
 
@@ -49,11 +49,11 @@ def solve_p1(g, sigma: float) -> StepResult:
     g = np.asarray(g, dtype=float)
     if g.ndim == 0:
         g = g.reshape(1)
-    if not np.all(np.isfinite(g)):
+    if not np.isfinite(g).all():
         raise ValueError("gradient must be finite")
     if not (sigma > 0.0) or not math.isfinite(sigma):
         raise ValueError(f"sigma must be positive and finite, got {sigma}")
-    gnorm = float(np.linalg.norm(g))
+    gnorm = vnorm(g)
     if gnorm == 0.0:
         raise ValueError("zero gradient: the caller should have stopped")
     s = -g / sigma
@@ -83,31 +83,57 @@ def _secular_root(w: Array, ghat2: Array, sigma: float, lam_low: float) -> float
     machine level or the bracket collapses.  The inner evaluations run on
     plain floats: the caller invokes this many thousands of times on small
     problems and numpy call overhead dominates otherwise.
-    """
-    pairs = list(zip((float(v) for v in w), (float(v) for v in ghat2)))
 
-    def r_and_phi(lam: float) -> tuple[float, float]:
-        r2 = 0.0
+    The bracket's upper end is the first point base * 2^k, base =
+    max(1, 2 lam_low), at which phi <= 0: a doubling search from base finds
+    it.  Here the search starts at the largest such point at most
+    L = (-w_n + sqrt(w_n^2 + 2 sigma ||g||)) / 2, a lower bound on the root
+    because ||s(lam)|| >= ||g|| / (lam + w_n).  It doubles from there while
+    phi > 0, or halves while phi <= 0 one point lower.  The computed phi is
+    monotone in lam too, so either way it stops at the very point the search
+    from base stops at, after about three evaluations instead of twenty on
+    the suite's solves.
+    Each evaluation yields the slope term in the same pass as ||s||.  Once an
+    iteration leaves (lo, hi, lam) unchanged every later one would repeat
+    it, so the loop stops there with the lam it would have returned.
+    """
+    ws, gs = w.tolist(), ghat2.tolist()
+    pairs = list(zip(ws, gs))
+
+    def evaluate(lam: float) -> tuple[float, float, float]:
+        """||s(lam)||, phi(lam) and sum ghat_i^2 / (w_i + lam)^3."""
+        r2 = rp = 0.0
         for wi, gi in pairs:
             d = wi + lam
             if d == 0.0:
-                return math.inf, math.inf
-            r2 += gi / (d * d)
+                return math.inf, math.inf, rp
+            dd = d * d
+            r2 += gi / dd
+            rp += gi / (dd * d)
         r = math.sqrt(r2) if r2 < math.inf else math.inf
-        return r, r - 2.0 * lam / sigma
+        return r, r - 2.0 * lam / sigma, rp
 
     lo = lam_low
-    hi = max(1.0, 2.0 * lam_low)
-    _, phi_hi = r_and_phi(hi)
+    base = max(1.0, 2.0 * lam_low)
+    w_n = ws[-1] if ws else 0.0
+    # abs() only matters for sigma < 0, where phi > 0 everywhere and the
+    # doubling fails to bracket from any start.
+    bound = 0.5 * (-w_n + math.sqrt(abs(w_n * w_n + 2.0 * sigma * math.sqrt(sum(gs)))))
+    ratio = bound / base
+    hi = math.ldexp(base, math.frexp(ratio)[1] - 1) if 1.0 <= ratio < math.inf else base
+    phi_hi = evaluate(hi)[1]
     while phi_hi > 0.0:
         hi *= 2.0
         if not math.isfinite(hi):
             raise RuntimeError("failed to bracket the secular root")
-        _, phi_hi = r_and_phi(hi)
+        phi_hi = evaluate(hi)[1]
+    while hi != base and not evaluate(0.5 * hi)[1] > 0.0:
+        hi *= 0.5
 
     lam = 0.5 * (lo + hi)
     for _ in range(_MAX_SECULAR_ITER):
-        r, phi = r_and_phi(lam)
+        state = (lo, hi, lam)
+        r, phi, rp = evaluate(lam)
         if phi > 0.0:
             lo = lam
         else:
@@ -118,16 +144,14 @@ def _secular_root(w: Array, ghat2: Array, sigma: float, lam_low: float) -> float
             break
         newton = None
         if math.isfinite(r) and r > 0.0:
-            rp = 0.0
-            for wi, gi in pairs:
-                d = wi + lam
-                rp += gi / (d * d * d)
             dphi = -rp / r - 2.0 / sigma
             if dphi < 0.0:
                 cand = lam - phi / dphi
                 if lo < cand < hi:
                     newton = cand
         lam = newton if newton is not None else 0.5 * (lo + hi)
+        if (lo, hi, lam) == state:
+            break
     return lam
 
 
@@ -144,7 +168,7 @@ def solve_p2(g, H, sigma: float, tol: float = 1e-10) -> StepResult:
     H = np.asarray(H, dtype=float)
     if H.shape != (g.size, g.size):
         raise ValueError(f"hessian shape {H.shape} does not match gradient size {g.size}")
-    if not (np.all(np.isfinite(g)) and np.all(np.isfinite(H))):
+    if not (np.isfinite(g).all() and np.isfinite(H).all()):
         raise ValueError("derivatives must be finite")
     if not (sigma > 0.0) or not math.isfinite(sigma):
         raise ValueError(f"sigma must be positive and finite, got {sigma}")
@@ -153,10 +177,9 @@ def solve_p2(g, H, sigma: float, tol: float = 1e-10) -> StepResult:
     w, Q = np.linalg.eigh(Hs)
     lam1 = float(w[0])
     ghat = Q.T @ g
-    gnorm = float(np.linalg.norm(g))
+    gnorm = vnorm(g)
     lam_low = max(0.0, -lam1)
     leftmost = w - lam1 <= 1e-12 * max(1.0, abs(lam1))
-    proj = float(np.linalg.norm(ghat[leftmost]))
 
     hard = False
     if gnorm == 0.0:
@@ -166,7 +189,7 @@ def solve_p2(g, H, sigma: float, tol: float = 1e-10) -> StepResult:
         snorm = 2.0 * lam / sigma
         s = snorm * _oriented(Q[:, 0].copy())
         hard = True
-    elif lam1 < 0.0 and proj <= _HARD_CASE_RTOL * gnorm:
+    elif lam1 < 0.0 and vnorm(ghat[leftmost]) <= _HARD_CASE_RTOL * gnorm:
         # Gradient numerically orthogonal to the leftmost eigenspace.
         mask = ~leftmost
         lam = lam_low
@@ -188,16 +211,17 @@ def solve_p2(g, H, sigma: float, tol: float = 1e-10) -> StepResult:
         lam = _secular_root(w, ghat**2, sigma, lam_low)
         s = Q @ (-ghat / (w + lam))
 
-    tgrad = g + Hs @ s
+    Hss = Hs @ s
+    tgrad = g + Hss
     reduction = -(
         float(g @ s)
-        + 0.5 * float(s @ (Hs @ s))
-        + sigma / 6.0 * float(np.linalg.norm(s)) ** 3
+        + 0.5 * float(s @ Hss)
+        + sigma / 6.0 * vnorm(s) ** 3
     )
     return StepResult(
         step=s,
         multiplier=float(lam),
-        taylor_grad_norm=float(np.linalg.norm(tgrad)),
+        taylor_grad_norm=vnorm(tgrad),
         model_reduction=reduction,
         taylor_min_curv=lam1,
         hard_case=hard,
@@ -221,7 +245,7 @@ def certify(
     s = step.step
     p = model.degree
     sigma = model.sigma
-    snorm = float(np.linalg.norm(s))
+    snorm = vnorm(s)
 
     if not model_value(model, s) < 0.0:
         return False

@@ -35,6 +35,7 @@ COLUMNS = (
     "rho",
     "accepted",
 )
+_COLUMN_SET = frozenset(COLUMNS)
 
 
 @dataclass
@@ -46,9 +47,8 @@ class RunTrace:
     rows: list[list[float]] = field(default_factory=list)
 
     def append(self, **values) -> None:
-        unknown = set(values) - set(COLUMNS)
-        if unknown:
-            raise ValueError(f"unknown trace columns: {sorted(unknown)}")
+        if not values.keys() <= _COLUMN_SET:
+            raise ValueError(f"unknown trace columns: {sorted(values.keys() - _COLUMN_SET)}")
         row = [float(values.get(c, math.nan)) for c in COLUMNS]
         self.rows.append(row)
 

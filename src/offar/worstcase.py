@@ -24,6 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .bounds import _ceil_snapped
 from .model import DerivativeBundle
 from .problems import ProblemMeta, ProblemOracle
 from .solvers import OffoConfig, RunOutcome, run_moffar, run_offar
@@ -34,19 +35,6 @@ Array = np.ndarray
 
 class ConstructionError(RuntimeError):
     """A generated sequence violated one of its own certificates."""
-
-
-def _ceil_snapped(t: float) -> int:
-    """ceil with a snap for values within float error of an integer.
-
-    The exact counts are integers for nice tolerances (0.1^-2 = 100), but
-    libm pow may land on either side; values within 1e-9 relative of an
-    integer are treated as that integer.
-    """
-    nearest = round(t)
-    if abs(t - nearest) <= 1e-9 * max(1.0, abs(t)):
-        return int(nearest)
-    return math.ceil(t)
 
 
 @dataclass

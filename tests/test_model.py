@@ -1,9 +1,42 @@
+import struct
+
 import numpy as np
 import pytest
 
 from offar import (DerivativeBundle, RegularizedModel, model_gradient,
                    model_value, taylor_decrease, taylor_gradient,
                    taylor_gradient_norm, taylor_min_curvature)
+from offar.model import vnorm
+
+
+def bits(x: float) -> bytes:
+    return struct.pack("<d", x)
+
+
+class TestVnorm:
+    """vnorm must reproduce float(np.linalg.norm(v)) bit for bit."""
+
+    def test_random_vectors(self):
+        rng = np.random.default_rng(5)
+        for _ in range(2000):
+            v = rng.standard_normal(int(rng.integers(1, 40))) * 10.0 ** rng.uniform(-150, 150)
+            assert bits(vnorm(v)) == bits(float(np.linalg.norm(v)))
+
+    def test_strided_and_reversed_views(self):
+        # Strided dots sum in another order than contiguous ones.
+        rng = np.random.default_rng(6)
+        for _ in range(500):
+            base = rng.standard_normal(int(rng.integers(2, 80)))
+            for v in (base[::2], base[::-1], base[1::3]):
+                assert bits(vnorm(v)) == bits(float(np.linalg.norm(v)))
+
+    @pytest.mark.parametrize("v", [[np.inf, 1.0], [-np.inf, 0.0], [np.nan, 1.0],
+                                   [np.inf, np.nan], [1e200, 1e200], [1e-200, 0.0],
+                                   [-0.0], []])
+    def test_special_values(self, v):
+        v = np.array(v, dtype=float)
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert bits(vnorm(v)) == bits(float(np.linalg.norm(v)))
 
 
 class TestDerivativeBundle:
@@ -31,6 +64,9 @@ class TestDerivativeBundle:
         b3 = DerivativeBundle(np.ones(2))
         assert b3.is_finite(need_hessian=False)
         assert not b3.is_finite(need_hessian=True)
+        b4 = DerivativeBundle(np.ones(2), np.array([[1.0, np.nan], [np.nan, 1.0]]))
+        assert not b4.is_finite(need_hessian=False)
+        assert not b4.is_finite(need_hessian=True)
 
 
 class TestRegularizedModel:

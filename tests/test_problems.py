@@ -181,6 +181,34 @@ class TestNoise:
         with pytest.raises(ValueError):
             NoiseSpec(level=0.1, seed=0, targets=frozenset({"jacobian"}))
 
+    @staticmethod
+    def three_term_noise(bundle, spec, count):
+        """The wrapper's original Hessian build: the noised upper triangle Hn
+        plus its mirror as Hn + Hn.T - diag(Hn)."""
+        rng = np.random.default_rng((int(spec.seed), count))
+        g = bundle.gradient * (1.0 + spec.level * rng.standard_normal(bundle.n))
+        iu = np.triu_indices(bundle.n)
+        vals = bundle.hessian[iu] * (1.0 + spec.level * rng.standard_normal(iu[0].size))
+        Hn = np.zeros_like(bundle.hessian)
+        Hn[iu] = vals
+        return DerivativeBundle(g, Hn + Hn.T - np.diag(np.diag(Hn)), bundle.fvalue)
+
+    @pytest.mark.parametrize("name", ["rosenbr", "woods", "helix", "dixmaana"])
+    def test_hessian_build_matches_three_term_formula(self, name):
+        clean = get_problem(name)
+        # Zeros in x make -0.0 entries (rosenbr: -400 x_i), and level 1
+        # draws factors 1 + z < 0 that turn +0.0 entries into -0.0.
+        x = clean.x0.copy()
+        x[1::2] = 0.0
+        spec = NoiseSpec(level=1.0, seed=3, targets=frozenset({"gradient", "hessian"}))
+        noisy = add_noise(clean, spec)
+        ref = clean.evaluate(x)
+        for count in range(40):
+            new, old = noisy.evaluate(x), self.three_term_noise(ref, spec, count)
+            assert new.gradient.tobytes() == old.gradient.tobytes()
+            assert new.hessian.tobytes() == old.hessian.tobytes()
+            assert not np.any(np.signbit(new.hessian) & (new.hessian == 0.0))
+
     def test_wrapper_leaves_original_untouched(self):
         clean = get_problem("beale")
         before = clean.evaluate(clean.x0)

@@ -11,8 +11,10 @@ import math
 import numpy as np
 import pytest
 
+from _reference_secular import reference_secular_root
 from offar import (DerivativeBundle, RegularizedModel, StepResult, certify,
                    model_value, solve_p1, solve_p2)
+from offar.subsolver import _secular_root
 
 
 def grid_min_1d(g1, H1, sigma, radius=3.0, h=1e-6):
@@ -212,6 +214,84 @@ class TestSolveP2Properties:
             H = 0.5 * (A + A.T)
             r = solve_p2(g, H, 2.0)
             assert r.model_reduction > 0.0
+
+
+def secular_inputs(rng, n):
+    """Sorted eigenvalues of either sign over 1e-3..1e6 in magnitude and
+    projections ghat scaled over 1e-8..1e8; in four cases of ten the leftmost
+    projection is 1e-14..1e-6 of ||ghat||, in one of ten the leftmost
+    eigenvalue is double."""
+    w = np.sort(rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(-3.0, 6.0, n))
+    if n > 1 and rng.random() < 0.1:
+        w[1] = w[0]
+    ghat = rng.standard_normal(n) * 10.0 ** rng.uniform(-8.0, 8.0)
+    if rng.random() < 0.4:
+        ghat[0] = np.linalg.norm(ghat) * 10.0 ** rng.uniform(-14.0, -6.0)
+    return w, ghat
+
+
+class TestSecularRootReference:
+    """The secular root must return the original iteration's multiplier bit for bit."""
+
+    @staticmethod
+    def both(w, ghat2, sigma, lam_low):
+        return (reference_secular_root(w, ghat2, sigma, lam_low).hex(),
+                _secular_root(w, ghat2, sigma, lam_low).hex())
+
+    def test_seeded_batch(self):
+        rng = np.random.default_rng(20260)
+        mismatches = []
+        for i in range(5000):
+            w, ghat = secular_inputs(rng, int(rng.integers(1, 13)))
+            sigma = float(10.0 ** rng.uniform(-4.0, 12.0))
+            ref, new = self.both(w, ghat**2, sigma, max(0.0, -float(w[0])))
+            if ref != new:
+                mismatches.append((i, ref, new))
+        assert mismatches == []
+
+    def test_masked_hard_case_calls(self):
+        # The call solve_p2 makes when g is orthogonal to the leftmost
+        # eigenspace: leftmost pairs dropped, lam_low = -lambda_1 > 0.
+        rng = np.random.default_rng(4711)
+        mismatches = []
+        for i in range(1000):
+            w, ghat = secular_inputs(rng, int(rng.integers(2, 13)))
+            w[0] = -abs(w[0])
+            mask = w > w[0]
+            if not mask.any():
+                continue
+            sigma = float(10.0 ** rng.uniform(-4.0, 12.0))
+            ref, new = self.both(w[mask], ghat[mask] ** 2, sigma, -float(w[0]))
+            if ref != new:
+                mismatches.append((i, ref, new))
+        assert mismatches == []
+
+    def test_hard_case_through_solve_p2(self):
+        # g has no leftmost component and sigma is small enough that the
+        # interior equation has a root: the masked secular branch runs.
+        H = np.diag([-1.0, 2.0, 5.0])
+        g = np.array([0.0, 3.0, -4.0])
+        r = solve_p2(g, H, 10.0)
+        assert not r.hard_case
+        mask = np.array([False, True, True])
+        lam = reference_secular_root(np.diag(H)[mask], g[mask] ** 2, 10.0, 1.0)
+        assert r.multiplier.hex() == lam.hex()
+
+    @pytest.mark.parametrize("sigma", [-1.0, -1e-3])
+    def test_failed_bracket_raises_like_reference(self, sigma):
+        # For sigma > 0, 2 lam / sigma overflows before lam does and ends the
+        # doubling; only sigma < 0 keeps phi > 0 up to overflow.
+        w, ghat2 = np.array([-2.0, 3.0]), np.array([1.0, 4.0])
+        with pytest.raises(RuntimeError, match="failed to bracket"):
+            reference_secular_root(w, ghat2, sigma, 2.0)
+        with pytest.raises(RuntimeError, match="failed to bracket"):
+            _secular_root(w, ghat2, sigma, 2.0)
+
+    def test_overflowing_bracket_like_reference(self):
+        # ||s|| = inf everywhere: the doubling runs to lam = 2^1023, where
+        # 2 lam / sigma overflows and phi turns nan.
+        ref, new = self.both(np.array([1.0, 3.0]), np.array([1.0, math.inf]), 1e300, 0.0)
+        assert ref == new == "inf"
 
 
 class TestCertify:
