@@ -52,10 +52,30 @@ class ProblemOracle:
 
 
 def _bundle(fn):
+    """Evaluator for a suite formula, memoizing the last point it was called at.
+
+    The suite's formulas are pure functions of x, so a repeat call with the
+    same bytes (ar2 retries one trial point after each rejection at the sigma
+    cap) returns the same bundle, its arrays made read-only; -0.0 and +0.0
+    differ in bytes and recompute.  The memo is not in the noise wrapper or
+    ProblemOracle.evaluate: those take any evaluator, including scripted ones
+    that answer by call count, and the wrapper draws fresh noise per call.
+    """
+    last = (None, None)
+
     def evaluator(x: Array) -> DerivativeBundle:
+        nonlocal last
+        key = x.tobytes()
+        last_key, bundle = last
+        if key == last_key:
+            return bundle
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             f, g, H = fn(x)
-        return DerivativeBundle(gradient=g, hessian=H, fvalue=f)
+        bundle = DerivativeBundle(gradient=g, hessian=H, fvalue=f)
+        bundle.gradient.setflags(write=False)
+        bundle.hessian.setflags(write=False)
+        last = (key, bundle)
+        return bundle
 
     return evaluator
 

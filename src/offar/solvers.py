@@ -402,7 +402,10 @@ def run_ar2(problem, config: Ar2Config, *, collect_history: bool = False) -> Run
 
     Rejected iterations still count (and still cost one objective
     evaluation); the trace records the ratio rho and the accept flag per
-    iteration.
+    iteration.  The step, its Taylor decrease and the trial point depend
+    only on (x, sigma) and are recomputed only when either changed: at the
+    gamma3 cap a rejection changes neither, so the next iteration reuses the
+    previous solve exactly and repeats only the (noisy) trial evaluation.
     """
     trace = RunTrace(problem=getattr(problem, "name", ""), algorithm="ar2",
                      config_hash=_config_hash(config))
@@ -424,6 +427,7 @@ def run_ar2(problem, config: Ar2Config, *, collect_history: bool = False) -> Run
 
     k = 0
     status = None
+    step = step_sigma = None
     while True:
         if gnorm <= config.eps1:
             status = RunStatus.FIRST_ORDER
@@ -432,13 +436,13 @@ def run_ar2(problem, config: Ar2Config, *, collect_history: bool = False) -> Run
             status = RunStatus.MAX_ITERATIONS
             break
 
-        step = solve_p2(bundle.gradient, bundle.hessian, sigma)
-        model = RegularizedModel(bundle, sigma, 2)
-        decrease = taylor_decrease(model, step.step)
-        if not (step.model_reduction > 0.0 and decrease > 0.0):
-            raise CertificateError(f"degenerate subproblem solution at iteration {k}")
-
-        trial_x = x + step.step
+        if step is None or sigma != step_sigma:
+            step = solve_p2(bundle.gradient, bundle.hessian, sigma)
+            step_sigma = sigma
+            decrease = taylor_decrease(RegularizedModel(bundle, sigma, 2), step.step)
+            if not (step.model_reduction > 0.0 and decrease > 0.0):
+                raise CertificateError(f"degenerate subproblem solution at iteration {k}")
+            trial_x = x + step.step
         trial = problem.evaluate(trial_x)
         if (trial.fvalue is None or not math.isfinite(trial.fvalue)
                 or not trial.is_finite(need_hessian=True)):
@@ -465,6 +469,7 @@ def run_ar2(problem, config: Ar2Config, *, collect_history: bool = False) -> Run
             x = trial_x
             bundle = trial
             gnorm = vnorm(bundle.gradient)
+            step = None
             if rho >= config.eta2:
                 sigma = max(config.sigma_min, config.gamma2 * sigma)
         else:
@@ -474,10 +479,10 @@ def run_ar2(problem, config: Ar2Config, *, collect_history: bool = False) -> Run
             history.xs.append(x.copy())
             history.bundles.append(bundle)
 
+    min_eig = _min_eig(bundle)
     trace.append(
-        k=k, grad_norm=gnorm, sigma=sigma,
-        min_eig=math.nan if bundle.hessian is None else _min_eig(bundle),
+        k=k, grad_norm=gnorm, sigma=sigma, min_eig=min_eig,
         fvalue=math.nan if status == RunStatus.ORACLE_OVERFLOW else bundle.fvalue,
     )
     return RunOutcome(status, x, gnorm, k, trace,
-                      final_min_eig=_min_eig(bundle), history=history)
+                      final_min_eig=min_eig, history=history)

@@ -210,6 +210,10 @@ def solve_p2(g, H, sigma: float, tol: float = 1e-10) -> StepResult:
     else:
         lam = _secular_root(w, ghat**2, sigma, lam_low)
         s = Q @ (-ghat / (w + lam))
+    if not math.isfinite(lam):
+        raise OverflowError(
+            f"secular root is not finite (||g|| = {gnorm!r}, sigma = {sigma!r}): "
+            "the squared gradient or 2 lam/sigma overflowed float64")
 
     Hss = Hs @ s
     tgrad = g + Hss

@@ -1,5 +1,6 @@
 """Outer-iteration driver behavior on analytic and scripted oracles."""
 
+import itertools
 import math
 
 import numpy as np
@@ -8,7 +9,7 @@ import pytest
 from _checks import check_offo_invariants
 from offar import (Ar2Config, DerivativeBundle, OffoConfig, ProblemMeta,
                    ProblemOracle, RunStatus, get_problem, run_ar2, run_moffar,
-                   run_offar)
+                   run_offar, solve_p2, solvers)
 
 
 def quadratic_oracle(A, b, x0, name="quad"):
@@ -237,6 +238,36 @@ class TestAr2:
         acc = out.trace.column("accepted")
         assert np.all(acc[:-1] == 0.0)
         assert out.trace.column("sigma")[-1] == pytest.approx(1e20)
+
+    def test_step_reused_while_x_and_sigma_hold(self, monkeypatch):
+        # Rejections up to the 1e20 cap, then one accepted step at the cap
+        # (rho huge, sigma halves), then rejections again: one solve per
+        # distinct (x, sigma), however many iterations revisit it.
+        calls = []
+
+        def counting_solve_p2(g, H, sigma):
+            calls.append((g.tobytes(), sigma))
+            return solve_p2(g, H, sigma)
+
+        monkeypatch.setattr(solvers, "solve_p2", counting_solve_p2)
+        evals = itertools.count()
+
+        def ev(x):
+            if np.all(x == 0.0):
+                f = 1.0
+            else:
+                f = 2.0 if next(evals) < 80 else -1.0
+            return DerivativeBundle(x + np.array([1.0, 0.0]), np.eye(2), f)
+
+        po = ProblemOracle("liar", 2, np.zeros(2), ev, ProblemMeta())
+        out = run_ar2(po, Ar2Config(eps1=1e-8, max_iter=120))
+        acc = out.trace.column("accepted")[:-1]
+        sigma = out.trace.column("sigma")[:-1]
+        assert acc.sum() == 1.0 and out.iterations == 120
+        point = np.concatenate(([0.0], np.cumsum(acc)[:-1]))
+        visited = list(dict.fromkeys(zip(point, sigma)))
+        assert len(calls) == len(set(calls)) == len(visited) < out.iterations
+        assert [s for _, s in calls] == [s for _, s in visited]
 
     def test_overflow_on_trial(self):
         def ev(x):

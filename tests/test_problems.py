@@ -6,6 +6,7 @@ import pytest
 from offar import (NoiseSpec, ProblemMeta, ProblemOracle, SUITE_NAMES,
                    add_noise, get_problem, make_suite, validate_derivatives)
 from offar.model import DerivativeBundle
+from offar.problems import _bundle
 
 
 class TestSuiteComposition:
@@ -217,3 +218,47 @@ class TestNoise:
         after = clean.evaluate(clean.x0)
         assert before.fvalue == after.fvalue
         np.testing.assert_array_equal(before.gradient, after.gradient)
+
+
+class TestMemo:
+    @staticmethod
+    def counting_evaluator():
+        calls = []
+
+        def formula(x):
+            calls.append(x.copy())
+            return float(x @ x), 2.0 * x, 2.0 * np.eye(x.size)
+
+        return _bundle(formula), calls
+
+    def test_repeat_point_evaluates_once(self):
+        ev, calls = self.counting_evaluator()
+        x = np.array([1.0, -2.0])
+        first = ev(x)
+        assert ev(x.copy()) is first and len(calls) == 1
+        other = ev(np.array([1.0, 2.0]))
+        assert other is not first and len(calls) == 2
+        np.testing.assert_array_equal(other.gradient, [2.0, 4.0])
+        # one slot: going back to x recomputes
+        assert ev(x) is not first and len(calls) == 3
+
+    def test_signed_zero_recomputes(self):
+        ev, calls = self.counting_evaluator()
+        pos = ev(np.array([0.0, 1.0]))
+        neg = ev(np.array([-0.0, 1.0]))
+        assert len(calls) == 2
+        assert not np.signbit(pos.gradient[0]) and np.signbit(neg.gradient[0])
+
+    def test_cached_arrays_are_read_only(self):
+        ev, _ = self.counting_evaluator()
+        bundle = ev(np.array([1.0, 1.0]))
+        with pytest.raises(ValueError):
+            bundle.gradient[0] = 0.0
+        with pytest.raises(ValueError):
+            bundle.hessian[0, 0] = 0.0
+
+    def test_suite_oracle_memoizes(self):
+        po = get_problem("woods")
+        a = po.evaluate(po.x0)
+        assert po.evaluate(po.x0.copy()) is a
+        assert po.evaluate(po.x0 + 1.0) is not a

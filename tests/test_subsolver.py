@@ -154,6 +154,12 @@ class TestSolveP2Examples:
         with pytest.raises(ValueError):
             solve_p2(np.ones(2), np.eye(2), -1.0)
 
+    def test_overflowing_secular_root_raises(self):
+        # ghat^2 overflows, so ||s(lam)|| = inf and the root search ends at
+        # lam = inf, which would give a zero step.
+        with np.errstate(over="ignore"), pytest.raises(OverflowError, match="not finite"):
+            solve_p2(np.array([1e160, 1e160]), np.eye(2), 1.0)
+
 
 class TestSolveP2Properties:
     def test_grid_agreement_2d(self):
