@@ -29,17 +29,17 @@ SUCCESS = (RunStatus.FIRST_ORDER, RunStatus.SECOND_ORDER)
 
 
 def _offo_config(algorithm: str, *, eps1, eps2, max_iter, strict, nu0,
-                 smoothing, theta1, theta2, vartheta) -> OffoConfig:
+                 smoothing, vartheta) -> OffoConfig:
     degree = 1 if algorithm == "offar1" else 2
     beta = 2.0 / 3.0 if algorithm == "offar2b" else 1.0
     if algorithm == "moffar2":
+        theta2 = 2.0
         if eps2 is None:
             eps2 = eps1
     else:
-        theta2 = None
-        eps2 = None
+        theta2 = eps2 = None
     return OffoConfig(
-        degree=degree, theta1=theta1, theta2=theta2, vartheta=vartheta,
+        degree=degree, theta2=theta2, vartheta=vartheta,
         eps1=eps1, eps2=eps2, beta=beta, max_iter=max_iter,
         smoothing=smoothing and degree == 2, strict_mode=strict, nu0=nu0,
     )
@@ -57,10 +57,7 @@ def run_single(
     strict: bool = False,
     nu0: float | None = None,
     sigma0: float = 1.0,
-    theta1: float = 2.0,
-    theta2: float = 2.0,
     vartheta: float = 1e-3,
-    collect_history: bool = False,
 ) -> RunOutcome:
     """Run one algorithm on one problem, optionally under noise."""
     if algorithm not in ALGORITHMS:
@@ -73,15 +70,14 @@ def run_single(
         problem = add_noise(oracle, NoiseSpec(noise_level, seed, frozenset(targets)))
     if algorithm == "ar2":
         config = Ar2Config(eps1=eps1, sigma0=sigma0, max_iter=max_iter)
-        outcome = run_ar2(problem, config, collect_history=collect_history)
+        outcome = run_ar2(problem, config)
     else:
         config = _offo_config(
             algorithm, eps1=eps1, eps2=eps2, max_iter=max_iter, strict=strict,
-            nu0=nu0, smoothing=noise_level > 0.0, theta1=theta1, theta2=theta2,
-            vartheta=vartheta,
+            nu0=nu0, smoothing=noise_level > 0.0, vartheta=vartheta,
         )
         runner = run_moffar if algorithm == "moffar2" else run_offar
-        outcome = runner(problem, config, collect_history=collect_history)
+        outcome = runner(problem, config)
     # the drivers only know their degree; record the variant name picked here
     outcome.trace.algorithm = algorithm
     outcome.trace.seed = seed if noise_level > 0.0 else None

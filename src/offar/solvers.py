@@ -135,7 +135,6 @@ class Ar2Config:
 class SolverState:
     """Mutable per-run record consumed by the scalar update rules."""
 
-    k: int = 0
     nu: float = 1.0
     sigma: float = 1.0
     mu1: float | None = None
@@ -292,7 +291,6 @@ def _run_offo(problem, config: OffoConfig, *, second_order: bool,
         state.delta = max(config.varsigma, gnorm)
         state.tau = gnorm
     gnorm_prev = gnorm
-    tau_prev = state.tau
     prev_step_norm = None
 
     if collect_history:
@@ -326,13 +324,13 @@ def _run_offo(problem, config: OffoConfig, *, second_order: bool,
                                        config.theta2, p)
             if not config.strict_mode:
                 if config.smoothing:
-                    measure_now, measure_prev = tau_now, tau_prev
+                    measure_now, measure_prev = tau_now, state.tau
                 else:
                     measure_now, measure_prev = gnorm, gnorm_prev
                 state.xi, state.target = xi_target_update(
                     state, measure_now, measure_prev, config)
             if config.smoothing:
-                tau_prev = state.tau = tau_now
+                state.tau = tau_now
             sigma = sigma_select(state, config)
         state.sigma = sigma
 
@@ -444,13 +442,9 @@ def run_ar2(problem, config: Ar2Config, *, collect_history: bool = False) -> Run
                 raise CertificateError(f"degenerate subproblem solution at iteration {k}")
             trial_x = x + step.step
         trial = problem.evaluate(trial_x)
-        if (trial.fvalue is None or not math.isfinite(trial.fvalue)
-                or not trial.is_finite(need_hessian=True)):
-            k += 1
-            gnorm = math.nan
-            status = RunStatus.ORACLE_OVERFLOW
-            break
-        rho = (bundle.fvalue - trial.fvalue) / decrease
+        overflow = (trial.fvalue is None or not math.isfinite(trial.fvalue)
+                    or not trial.is_finite(need_hessian=True))
+        rho = math.nan if overflow else (bundle.fvalue - trial.fvalue) / decrease
         accepted = rho >= config.eta1
 
         trace.append(
@@ -459,11 +453,17 @@ def run_ar2(problem, config: Ar2Config, *, collect_history: bool = False) -> Run
             model_reduction=step.model_reduction,
             taylor_grad_norm=step.taylor_grad_norm,
             min_eig=step.taylor_min_curv,
-            fvalue=bundle.fvalue, rho=rho, accepted=float(accepted),
+            fvalue=bundle.fvalue, rho=rho,
+            accepted=math.nan if overflow else float(accepted),
         )
         if collect_history:
             history.steps.append(step.step.copy())
             history.step_results.append(step)
+        k += 1
+        if overflow:
+            gnorm = math.nan
+            status = RunStatus.ORACLE_OVERFLOW
+            break
 
         if accepted:
             x = trial_x
@@ -474,7 +474,6 @@ def run_ar2(problem, config: Ar2Config, *, collect_history: bool = False) -> Run
                 sigma = max(config.sigma_min, config.gamma2 * sigma)
         else:
             sigma = min(config.gamma1 * sigma, config.gamma3)
-        k += 1
         if collect_history and accepted:
             history.xs.append(x.copy())
             history.bundles.append(bundle)

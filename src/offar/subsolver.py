@@ -30,6 +30,9 @@ Array = np.ndarray
 # leftmost eigenspace.
 _HARD_CASE_RTOL = 1e-12
 _MAX_SECULAR_ITER = 200
+# Relative slack of certify's inequalities: the exact minimizer attains some
+# of them with equality (e.g. theta1 = 1).
+_CERTIFY_RTOL = 1e-10
 
 
 @dataclass
@@ -155,12 +158,10 @@ def _secular_root(w: Array, ghat2: Array, sigma: float, lam_low: float) -> float
     return lam
 
 
-def solve_p2(g, H, sigma: float, tol: float = 1e-10) -> StepResult:
+def solve_p2(g, H, sigma: float) -> StepResult:
     """Global minimizer of g.s + 0.5 s.H.s + sigma/6 ||s||^3.
 
-    tol is the relative slack used when the result is re-checked through
-    :func:`certify`; the secular iteration itself always polishes the
-    multiplier to machine precision.
+    The secular iteration polishes the multiplier to machine precision.
     """
     g = np.asarray(g, dtype=float)
     if g.ndim == 0:
@@ -237,14 +238,12 @@ def certify(
     model: RegularizedModel,
     theta1: float,
     theta2: float | None = None,
-    rel_tol: float = 1e-10,
 ) -> bool:
     """Check the step conditions the outer iteration requires.
 
     All quantities are recomputed from the model, so this is an independent
     predicate on (step, model), not a readback of StepResult fields.  The
-    inequalities get relative slack rel_tol because the exact minimizer
-    attains some of them with equality (e.g. theta1 = 1).
+    inequalities get relative slack _CERTIFY_RTOL.
     """
     s = step.step
     p = model.degree
@@ -255,12 +254,12 @@ def certify(
         return False
 
     bound = theta1 * sigma / math.factorial(p) * snorm**p
-    if taylor_gradient_norm(model, s) > bound + rel_tol * max(1.0, bound):
+    if taylor_gradient_norm(model, s) > bound + _CERTIFY_RTOL * max(1.0, bound):
         return False
 
     if theta2 is not None and p == 2:
         cbound = theta2 * sigma / math.factorial(p - 1) * snorm ** (p - 1)
         lam_min = float(np.linalg.eigvalsh(model.bundle.hessian)[0])
-        if lam_min < -cbound - rel_tol * max(1.0, cbound):
+        if lam_min < -cbound - _CERTIFY_RTOL * max(1.0, cbound):
             return False
     return True

@@ -4,9 +4,10 @@ gen_first_order builds the scripted 1-D run on which the first-order driver
 needs exactly ceil(eps^(-(p+1)/p)) iterations: gradient values shrink linearly
 from 2 eps to eps while all higher derivatives stay zero, and the weights
 follow sigma_{k+1} = sigma_k + sigma_k |s_k|^(p+1).  gen_second_order is the
-curvature analogue with zero gradients.  Both verify, at build time, that the
-sequence values admit a bounded-derivative interpolant (divided-difference
-growth bounds) and that sigma stays under its closed-form ceiling.
+curvature analogue with zero gradients; one construction builds both and
+verifies, at build time, that the sequence values admit a bounded-derivative
+interpolant (divided-difference growth bounds) and that sigma stays under its
+closed-form ceiling.
 
 run_divergence reproduces the fixed-regularization failure mode: with
 sigma held at 2(H+1)/sqrt(1+(H+1)^2) < 2 the iterates march off to infinity
@@ -63,121 +64,84 @@ def gen_first_order(p: int, eps: float, sigma0: float) -> SlowSequence:
     """Slow gradient sequence forcing ceil(eps^(-(p+1)/p)) iterations."""
     if p < 1:
         raise ValueError(f"p must be >= 1, got {p}")
-    if not 0.0 < eps <= 1.0:
-        raise ValueError(f"eps must lie in (0, 1], got {eps}")
-    if not sigma0 > 0.0:
-        raise ValueError(f"sigma0 must be positive, got {sigma0}")
-    fact = float(math.factorial(p))
-    k_eps = _ceil_snapped(eps ** (-(p + 1) / p))
-
-    ks = np.arange(k_eps + 1, dtype=float)
-    omega = eps * (k_eps - ks) / k_eps
-    gvals = -(eps + omega)
-    sigmas = np.empty(k_eps + 1)
-    svals = np.empty(k_eps + 1)
-    fvals = np.empty(k_eps + 1)
-    sigmas[0] = sigma0
-    fvals[0] = 2.0 ** ((2 * p + 1) / p) * (fact / sigma0) ** (1.0 / p)
-    for k in range(k_eps + 1):
-        svals[k] = (fact * abs(gvals[k]) / sigmas[k]) ** (1.0 / p)
-        if k < k_eps:
-            sigmas[k + 1] = sigmas[k] + sigmas[k] * svals[k] ** (p + 1)
-            fvals[k + 1] = fvals[k] + gvals[k] * svals[k]
-
-    sigma_max = sigma0 + 2.0 * ((2.0 * fact) ** (p + 1) / sigma0) ** (1.0 / p)
-    seq = SlowSequence(p=p, eps=eps, sigma0=sigma0, k_eps=k_eps, order=1,
-                       omega=omega, values=gvals, svals=svals, sigmas=sigmas,
-                       fvals=fvals, sigma_max_bound=sigma_max)
-    _verify_first_order(seq)
-    return seq
-
-
-def _verify_first_order(seq: SlowSequence) -> None:
-    p, eps = seq.p, seq.eps
-    fact = float(math.factorial(p))
-    g, s = seq.values, seq.svals
-    absg = np.abs(g)
-    _check(bool(np.all((absg >= eps) & (absg <= 2.0 * eps + 1e-15 * eps))),
-           "gradient magnitudes left [eps, 2 eps]")
-    _check(bool(np.all(absg[:-1] > eps)), "early termination would trigger")
-    _check(g[-1] == -eps, "final gradient must hit -eps exactly")
-    _check(bool(np.all(seq.sigmas <= seq.sigma_max_bound * (1.0 + 1e-12))),
-           "sigma exceeded its closed-form ceiling")
-    f = seq.fvals
-    _check(bool(np.all(f <= f[0] + 1e-12 * abs(f[0])) and np.all(f >= -1e-12 * abs(f[0]))),
-           "objective values left [0, f0]")
-    smax = seq.sigma_max_bound
-    # Divided-difference growth bounds: the scripted values must be
-    # interpolable by a function with derivatives bounded via sigma_max.
-    slack = 1.0 + 1e-12
-    lhs0 = np.abs(g[:-1] * s[:-1])
-    rhs0 = (2.0 * smax / fact) * s[:-1] ** (p + 1)
-    _check(bool(np.all(lhs0 <= rhs0 * slack)), "zeroth-order compatibility failed")
-    lhs1 = np.abs(np.diff(g))
-    rhs1 = (smax / fact) * s[:-1] ** p
-    _check(bool(np.all(lhs1 <= rhs1 * slack)), "first-order compatibility failed")
-    # All higher scripted derivatives are identically zero, so their growth
-    # conditions reduce to 0 <= bound.
+    return _slow_sequence(1, p, eps, sigma0)
 
 
 def gen_second_order(p: int, eps2: float, sigma0: float) -> SlowSequence:
     """Slow curvature sequence forcing ceil(eps2^(-(p+1)/(p-1))) iterations."""
     if p < 2:
         raise ValueError(f"p must be >= 2 for the curvature sequence, got {p}")
-    if not 0.0 < eps2 <= 1.0:
-        raise ValueError(f"eps2 must lie in (0, 1], got {eps2}")
+    return _slow_sequence(2, p, eps2, sigma0)
+
+
+def _slow_sequence(order: int, p: int, eps: float, sigma0: float) -> SlowSequence:
+    """Scripted derivative of the given order shrinking linearly from 2 eps to eps.
+
+    The step is s_k = (p! |v_k| / sigma_k)^(1/q) with q = p + 1 - order, so
+    the run needs ceil(eps^(-(p+1)/q)) iterations.
+    """
+    if not 0.0 < eps <= 1.0:
+        raise ValueError(f"eps must lie in (0, 1], got {eps}")
     if not sigma0 > 0.0:
         raise ValueError(f"sigma0 must be positive, got {sigma0}")
+    q = p + 1 - order
     fact = float(math.factorial(p))
-    k_eps = _ceil_snapped(eps2 ** (-(p + 1) / (p - 1)))
+    k_eps = _ceil_snapped(eps ** (-(p + 1) / q))
 
     ks = np.arange(k_eps + 1, dtype=float)
-    omega = eps2 * (k_eps - ks) / k_eps
-    hvals = -(eps2 + omega)
+    omega = eps * (k_eps - ks) / k_eps
+    values = -(eps + omega)
     sigmas = np.empty(k_eps + 1)
     svals = np.empty(k_eps + 1)
     fvals = np.empty(k_eps + 1)
     sigmas[0] = sigma0
-    fvals[0] = 2.0 ** ((p + 1) / (p - 1)) * (fact / sigma0) ** (2.0 / (p - 1))
+    # One integer quotient, e.g. (2p+1)/p for order 1, rounds once where
+    # 2 + 1/p would round twice.
+    fvals[0] = 2.0 ** ((p + 1 + (2 - order) * q) / q) * (fact / sigma0) ** (order / q)
     for k in range(k_eps + 1):
-        svals[k] = (fact * abs(hvals[k]) / sigmas[k]) ** (1.0 / (p - 1))
+        svals[k] = (fact * abs(values[k]) / sigmas[k]) ** (1.0 / q)
         if k < k_eps:
             sigmas[k + 1] = sigmas[k] + sigmas[k] * svals[k] ** (p + 1)
-            fvals[k + 1] = fvals[k] + 0.5 * hvals[k] * svals[k] ** 2
+            fvals[k + 1] = fvals[k] + values[k] * svals[k] ** order / order
 
-    sigma_max = sigma0 + 2.0 * ((2.0 * fact) ** (p + 1) / sigma0**2) ** (1.0 / (p - 1))
-    seq = SlowSequence(p=p, eps=eps2, sigma0=sigma0, k_eps=k_eps, order=2,
-                       omega=omega, values=hvals, svals=svals, sigmas=sigmas,
+    sigma_max = sigma0 + 2.0 * ((2.0 * fact) ** (p + 1) / sigma0**order) ** (1.0 / q)
+    seq = SlowSequence(p=p, eps=eps, sigma0=sigma0, k_eps=k_eps, order=order,
+                       omega=omega, values=values, svals=svals, sigmas=sigmas,
                        fvals=fvals, sigma_max_bound=sigma_max)
-    _verify_second_order(seq)
+    _verify(seq)
     return seq
 
 
-def _verify_second_order(seq: SlowSequence) -> None:
-    p, eps2 = seq.p, seq.eps
-    fact = float(math.factorial(p))
-    h, s = seq.values, seq.svals
-    absh = np.abs(h)
-    _check(bool(np.all((absh >= eps2) & (absh <= 2.0 * eps2 + 1e-15 * eps2))),
-           "curvature magnitudes left [eps2, 2 eps2]")
-    _check(bool(np.all(absh[:-1] > eps2)), "early termination would trigger")
-    _check(h[-1] == -eps2, "final curvature must hit -eps2 exactly")
+def _verify(seq: SlowSequence) -> None:
+    p, eps, order = seq.p, seq.eps, seq.order
+    name = "gradient" if order == 1 else "curvature"
+    v, s = seq.values, seq.svals[:-1]
+    absv = np.abs(v)
+    _check(bool(np.all((absv >= eps) & (absv <= 2.0 * eps + 1e-15 * eps))),
+           f"{name} magnitudes left [eps, 2 eps]")
+    _check(bool(np.all(absv[:-1] > eps)), "early termination would trigger")
+    _check(v[-1] == -eps, f"final {name} must hit -eps exactly")
     _check(bool(np.all(seq.sigmas <= seq.sigma_max_bound * (1.0 + 1e-12))),
            "sigma exceeded its closed-form ceiling")
     f = seq.fvals
     _check(bool(np.all(f <= f[0] + 1e-12 * abs(f[0])) and np.all(f >= -1e-12 * abs(f[0]))),
            "objective values left [0, f0]")
-    smax = seq.sigma_max_bound
-    slack = 1.0 + 1e-12
-    lhs0 = 0.5 * absh[:-1] * s[:-1] ** 2
-    rhs0 = (smax / fact) * s[:-1] ** (p + 1)
-    _check(bool(np.all(lhs0 <= rhs0 * slack)), "zeroth-order compatibility failed")
-    lhs1 = absh[:-1] * s[:-1]
-    rhs1 = (smax / fact) * s[:-1] ** p
-    _check(bool(np.all(lhs1 <= rhs1 * slack)), "first-order compatibility failed")
-    lhs2 = np.abs(np.diff(h))
-    rhs2 = (smax / fact) * s[:-1] ** (p - 1)
-    _check(bool(np.all(lhs2 <= rhs2 * slack)), "second-order compatibility failed")
+    # Divided-difference growth bounds: the scripted values must be
+    # interpolable by a function with derivatives bounded via sigma_max.
+    # Derivatives below the scripted order are the Taylor terms of v_k, the
+    # scripted one changes by diff(v), and all higher ones are identically
+    # zero, so their conditions reduce to 0 <= bound.
+    scale = seq.sigma_max_bound / math.factorial(p)
+    for j in range(order + 1):
+        if j < order:
+            lhs = absv[:-1] * s ** (order - j) / math.factorial(order - j)
+        else:
+            lhs = np.abs(np.diff(v))
+        rhs = scale * s ** (p + 1 - j)
+        if order == 1 and j == 0:
+            rhs = 2.0 * rhs
+        _check(bool(np.all(lhs <= rhs * (1.0 + 1e-12))),
+               f"{('zeroth', 'first', 'second')[j]}-order compatibility failed")
 
 
 class _ScriptedEvaluator:

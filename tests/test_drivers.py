@@ -136,12 +136,14 @@ class TestOverflow:
         out = run_offar(self.oracle_exploding(0), OffoConfig(degree=2, eps1=1e-6))
         assert out.status == RunStatus.ORACLE_OVERFLOW
         assert out.iterations == 0
+        assert len(out.trace) == out.iterations + 1
         assert math.isnan(out.final_grad_norm)
 
     def test_overflow_mid_run(self):
         out = run_offar(self.oracle_exploding(1), OffoConfig(degree=2, eps1=1e-6))
         assert out.status == RunStatus.ORACLE_OVERFLOW
         assert out.iterations == 1
+        assert len(out.trace) == out.iterations + 1
         assert math.isnan(out.final_grad_norm)
 
     def test_nonfinite_fvalue_alone_is_not_overflow(self):
@@ -277,6 +279,10 @@ class TestAr2:
         po = ProblemOracle("cliff", 2, np.zeros(2), ev, ProblemMeta())
         out = run_ar2(po, Ar2Config(eps1=1e-8))
         assert out.status == RunStatus.ORACLE_OVERFLOW
+        assert out.iterations == 1
+        assert len(out.trace) == out.iterations + 1
+        assert math.isnan(out.trace.column("rho")[0])
+        assert math.isnan(out.trace.column("accepted")[0])
 
     def test_needs_function_values(self):
         def ev(x):

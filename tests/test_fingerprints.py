@@ -26,7 +26,7 @@ from offar.harness import EPS_CLEAN, EPS_NOISY
 
 DATA = Path(__file__).resolve().parent / "data" / "fingerprints.json"
 MAX_ITER = 200
-CLEAN_ALGORITHMS = ("offar1", "offar2a", "moffar2", "ar2")
+CLEAN_ALGORITHMS = ("offar1", "offar2a", "offar2b", "moffar2", "ar2")
 NOISY_ALGORITHMS = ("offar2a", "ar2")
 NOISE_LEVEL = 0.25
 NOISE_SEED = 1

@@ -1,16 +1,65 @@
 """Slow-sequence generators, scripted replays, and the divergence run."""
 
+import dataclasses
+import hashlib
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from test_fingerprints import environment
+
 from offar import RunStatus
-from offar.worstcase import (ConstructionError, DivergenceRun, SlowSequence,
-                             _verify_first_order, gen_first_order,
-                             gen_second_order, replay_first_order,
-                             replay_second_order, run_divergence,
-                             scripted_oracle)
+from offar.worstcase import (ConstructionError, DivergenceRun, _verify,
+                             gen_first_order, gen_second_order,
+                             replay_first_order, replay_second_order,
+                             run_divergence, scripted_oracle)
+
+
+SEQUENCE_DATA = Path(__file__).resolve().parent / "data" / "slow_sequences.json"
+SEQUENCE_ORDERS = ((1, (1, 2, 3, 4)), (2, (2, 3, 4)))
+SEQUENCE_EPS = (1.0, 0.5, 0.3, 0.25, 0.1, 0.05)
+SEQUENCE_SIGMA0 = (0.1, 0.5, 1.0, 3.0)
+
+
+def sequence_grid():
+    """(key, order, p, eps, sigma0) for every guarded slow sequence."""
+    return [(f"{order}/{p}/{eps!r}/{sigma0!r}", order, p, eps, sigma0)
+            for order, ps in SEQUENCE_ORDERS for p in ps
+            for eps in SEQUENCE_EPS for sigma0 in SEQUENCE_SIGMA0]
+
+
+def sequence_digest(order, p, eps, sigma0):
+    """k_eps, sigma_max_bound as hex and the SHA-256 of every array."""
+    seq = (gen_first_order if order == 1 else gen_second_order)(p, eps, sigma0)
+    digest = hashlib.sha256()
+    for arr in (seq.omega, seq.values, seq.svals, seq.sigmas, seq.fvals):
+        digest.update(arr.tobytes())
+    return [seq.k_eps, seq.sigma_max_bound.hex(), digest.hexdigest()]
+
+
+class TestSequenceDigests:
+    """Both generators must reproduce their recorded sequences bit for bit.
+
+    Regenerate data/slow_sequences.json with
+    ``PYTHONPATH=src python tests/test_worstcase.py`` only for a change
+    meant to alter the sequences.
+    """
+
+    @pytest.mark.parametrize("key,order,p,eps,sigma0", sequence_grid(),
+                             ids=[cell[0] for cell in sequence_grid()])
+    def test_digest(self, key, order, p, eps, sigma0):
+        recorded = json.loads(SEQUENCE_DATA.read_text())
+        if recorded["environment"] != environment():
+            pytest.skip(f"digests recorded on {recorded['environment']}, "
+                        f"running on {environment()}")
+        assert sequence_digest(order, p, eps, sigma0) == recorded["digests"][key]
+
+    def test_grid_matches_recorded_keys(self):
+        recorded = json.loads(SEQUENCE_DATA.read_text())
+        assert sorted(recorded["digests"]) == sorted(cell[0] for cell in sequence_grid())
 
 
 class TestFirstOrderSequence:
@@ -54,17 +103,6 @@ class TestFirstOrderSequence:
         with pytest.raises(ValueError):
             gen_first_order(1, 0.1, -1.0)
 
-    def test_tampered_sequence_is_rejected(self):
-        seq = gen_first_order(2, 0.25, 1.0)
-        bad = SlowSequence(
-            p=seq.p, eps=seq.eps, sigma0=seq.sigma0, k_eps=seq.k_eps,
-            order=1, omega=seq.omega, values=seq.values * 3.0,
-            svals=seq.svals, sigmas=seq.sigmas, fvals=seq.fvals,
-            sigma_max_bound=seq.sigma_max_bound)
-        with pytest.raises(ConstructionError):
-            _verify_first_order(bad)
-
-
 class TestSecondOrderSequence:
     @pytest.mark.parametrize("p,eps2,expected", [
         (2, 0.25, 64),
@@ -90,6 +128,17 @@ class TestSecondOrderSequence:
         assert np.all(seq.fvals >= 0.0)
         assert np.all(seq.fvals <= seq.fvals[0])
         assert seq.sigmas[-1] <= seq.sigma_max_bound
+
+
+# Scaling svals by 3 slips past both verifiers, so it is not a case here.
+@pytest.mark.parametrize("field,factor", [("values", 3.0), ("fvals", -1.0), ("sigmas", 1e3)])
+@pytest.mark.parametrize("seq", [gen_first_order(2, 0.25, 1.0), gen_second_order(2, 0.5, 1.0)],
+                         ids=["order1", "order2"])
+def test_tampered_sequence_is_rejected(seq, field, factor):
+    _verify(seq)
+    bad = dataclasses.replace(seq, **{field: getattr(seq, field) * factor})
+    with pytest.raises(ConstructionError):
+        _verify(bad)
 
 
 class TestScriptedOracle:
@@ -171,3 +220,11 @@ class TestDivergence:
             run_divergence(1.0, 0.5, 10)
         with pytest.raises(ValueError):
             run_divergence(1.0, 1.5, 0)
+
+
+if __name__ == "__main__":
+    digests = {key: sequence_digest(*cell) for key, *cell in sequence_grid()}
+    lines = [f"  {json.dumps(key)}: {json.dumps(digests[key])}" for key in sorted(digests)]
+    SEQUENCE_DATA.write_text('{"environment": ' + json.dumps(environment(), sort_keys=True)
+                             + ',\n "digests": {\n' + ",\n".join(lines) + "\n }}\n")
+    print(f"{len(digests)} digests written to {SEQUENCE_DATA}")
