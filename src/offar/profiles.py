@@ -30,23 +30,6 @@ class ProfileTable:
     curves: dict        # algorithm -> array of (tau, value) breakpoints
 
 
-def _step_integral(ratios: np.ndarray, n_base: int, tau_max: float) -> float:
-    """rho(1) + exact integral of the step curve rho(tau) over [1, tau_max]."""
-    finite = np.sort(ratios[np.isfinite(ratios)])
-    if n_base == 0:
-        return 0.0
-
-    def rho(tau: float) -> float:
-        return float(np.searchsorted(finite, tau, side="right")) / n_base
-
-    total = rho(1.0)
-    points = [1.0] + [float(t) for t in finite if 1.0 < t <= tau_max] + [tau_max]
-    for left, right in zip(points[:-1], points[1:]):
-        if right > left:
-            total += rho(left) * (right - left)
-    return total
-
-
 def compute_profile(costs, problems=None, algorithms=None,
                     tau_max: float = TAU_MAX) -> ProfileTable:
     """Build the profile table from a cost matrix.
@@ -79,13 +62,18 @@ def compute_profile(costs, problems=None, algorithms=None,
     curves = {}
     for j, name in enumerate(algorithms):
         col = ratios[:, j] if n_base else np.empty(0)
-        pi[name] = _step_integral(col, n_base, tau_max) / tau_max
         rho[name] = 100.0 * float(np.mean(np.isfinite(c[:, j]))) if n_prob else 0.0
         finite = np.sort(col[np.isfinite(col)])
         taus = np.unique(np.concatenate(([1.0], finite[finite <= tau_max], [tau_max])))
         vals = (np.searchsorted(finite, taus, side="right") / n_base
                 if n_base else np.zeros_like(taus))
         curves[name] = np.column_stack([taus, vals])
+        # rho(1) plus the exact integral of the step curve, left to right
+        t, v = taus.tolist(), vals.tolist()
+        area = v[0]
+        for i in range(len(t) - 1):
+            area += v[i] * (t[i + 1] - t[i])
+        pi[name] = area / tau_max
 
     return ProfileTable(problems=problems, algorithms=algorithms, costs=c,
                         ratios=ratios, pi=pi, rho=rho, curves=curves)

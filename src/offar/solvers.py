@@ -241,10 +241,37 @@ def smoothed_updates(state: SolverState, grad_norm: float, prev_step_norm: float
     return delta, tau, mu1
 
 
-def _min_eig(bundle: DerivativeBundle) -> float | None:
-    if bundle.hessian is None:
-        return None
+def _min_eig(bundle: DerivativeBundle) -> float:
     return float(np.linalg.eigvalsh(bundle.hessian)[0])
+
+
+class _Record:
+    """One run's trace and, on request, its iterate history.
+
+    Every way a run ends goes through finish, which appends the terminal
+    trace row (so K iterations give K + 1 rows) and builds the outcome.
+    """
+
+    def __init__(self, problem, algorithm: str, config, collect_history: bool):
+        self.trace = RunTrace(problem=getattr(problem, "name", ""), algorithm=algorithm,
+                              config_hash=_config_hash(config))
+        self.history = RunHistory([], [], [], []) if collect_history else None
+
+    def point(self, x: Array, bundle: DerivativeBundle) -> None:
+        if self.history is not None:
+            self.history.xs.append(x.copy())
+            self.history.bundles.append(bundle)
+
+    def step(self, step: StepResult) -> None:
+        if self.history is not None:
+            self.history.steps.append(step.step.copy())
+            self.history.step_results.append(step)
+
+    def finish(self, status: RunStatus, x: Array, gnorm: float, k: int,
+               min_eig: float | None = None, **row) -> RunOutcome:
+        self.trace.append(k=k, grad_norm=gnorm, min_eig=min_eig, **row)
+        return RunOutcome(status, x, gnorm, k, self.trace, final_min_eig=min_eig,
+                          history=self.history)
 
 
 def run_offar(problem, config: OffoConfig, *, collect_history: bool = False) -> RunOutcome:
@@ -266,9 +293,8 @@ def _run_offo(problem, config: OffoConfig, *, second_order: bool,
     p = config.degree
     need_hessian = p == 2
     algorithm = ("moffar" if second_order else "offar") + str(p)
-    trace = RunTrace(problem=getattr(problem, "name", ""), algorithm=algorithm,
-                     config_hash=_config_hash(config))
-    history = RunHistory([], [], [], []) if collect_history else None
+    rec = _Record(problem, algorithm, config, collect_history)
+    trace = rec.trace
 
     if config.strict_mode and config.nu0 is None:
         raise ValueError("strict mode requires an explicit nu0")
@@ -276,9 +302,7 @@ def _run_offo(problem, config: OffoConfig, *, second_order: bool,
     x = np.array(problem.x0, dtype=float)
     bundle = problem.evaluate(x)
     if not bundle.is_finite(need_hessian=need_hessian):
-        trace.append(k=0, grad_norm=math.nan)
-        return RunOutcome(RunStatus.ORACLE_OVERFLOW, x, math.nan, 0, trace,
-                          history=history)
+        return rec.finish(RunStatus.ORACLE_OVERFLOW, x, math.nan, 0)
     gnorm = vnorm(bundle.gradient)
     # The first-order driver never needs eigenvalues ahead of the subproblem
     # solve, so lambda_min is tracked per iterate only in the second-order one.
@@ -292,22 +316,12 @@ def _run_offo(problem, config: OffoConfig, *, second_order: bool,
         state.tau = gnorm
     gnorm_prev = gnorm
     prev_step_norm = None
-
-    if collect_history:
-        history.xs.append(x.copy())
-        history.bundles.append(bundle)
+    rec.point(x, bundle)
 
     k = 0
-    status = None
     while True:
-        stop = gnorm <= config.eps1
-        if second_order:
-            stop = stop and min_eig >= -config.eps2
-        if stop:
-            status = RunStatus.SECOND_ORDER if second_order else RunStatus.FIRST_ORDER
-            break
-        if k >= config.max_iter:
-            status = RunStatus.MAX_ITERATIONS
+        stop = gnorm <= config.eps1 and (not second_order or min_eig >= -config.eps2)
+        if stop or k >= config.max_iter:
             break
 
         if k == 0:
@@ -346,21 +360,15 @@ def _run_offo(problem, config: OffoConfig, *, second_order: bool,
 
         snorm = vnorm(step.step)
         trace.append(
-            k=k, grad_norm=gnorm, sigma=sigma, nu=state.nu,
-            mu1=math.nan if state.mu1 is None else state.mu1,
-            mu2=math.nan if state.mu2 is None else state.mu2,
-            step_norm=snorm, model_reduction=step.model_reduction,
+            k=k, grad_norm=gnorm, sigma=sigma, nu=state.nu, mu1=state.mu1,
+            mu2=state.mu2, step_norm=snorm, model_reduction=step.model_reduction,
             taylor_grad_norm=step.taylor_grad_norm,
             xi=math.nan if config.strict_mode else state.xi,
             target=math.nan if config.strict_mode else state.target,
-            delta=math.nan if state.delta is None else state.delta,
-            tau=math.nan if state.tau is None else state.tau,
-            min_eig=(step.taylor_min_curv if p == 2 else math.nan),
-            fvalue=math.nan if bundle.fvalue is None else bundle.fvalue,
+            delta=state.delta, tau=state.tau, min_eig=step.taylor_min_curv,
+            fvalue=bundle.fvalue,
         )
-        if collect_history:
-            history.steps.append(step.step.copy())
-            history.step_results.append(step)
+        rec.step(step)
 
         x = x + step.step
         state.nu = nu_update(state.nu, snorm, p)
@@ -370,29 +378,21 @@ def _run_offo(problem, config: OffoConfig, *, second_order: bool,
 
         bundle = problem.evaluate(x)
         if not bundle.is_finite(need_hessian=need_hessian):
-            status = RunStatus.ORACLE_OVERFLOW
-            gnorm = math.nan
-            min_eig = math.nan if second_order else None
-            break
+            return rec.finish(RunStatus.ORACLE_OVERFLOW, x, math.nan, k,
+                              math.nan if second_order else None,
+                              nu=state.nu, tau=state.tau, delta=state.delta)
         gnorm = vnorm(bundle.gradient)
         min_eig = _min_eig(bundle) if second_order else None
-        if collect_history:
-            history.xs.append(x.copy())
-            history.bundles.append(bundle)
+        rec.point(x, bundle)
 
-    if min_eig is None and p == 2 and status != RunStatus.ORACLE_OVERFLOW:
+    if stop:
+        status = RunStatus.SECOND_ORDER if second_order else RunStatus.FIRST_ORDER
+    else:
+        status = RunStatus.MAX_ITERATIONS
+    if p == 2 and not second_order:
         min_eig = _min_eig(bundle)
-    trace.append(
-        k=k, grad_norm=gnorm, nu=state.nu,
-        min_eig=math.nan if min_eig is None else min_eig,
-        fvalue=math.nan if (bundle.fvalue is None or status == RunStatus.ORACLE_OVERFLOW)
-        else bundle.fvalue,
-        tau=math.nan if state.tau is None else state.tau,
-        delta=math.nan if state.delta is None else state.delta,
-    )
-    return RunOutcome(status, x, gnorm, k, trace,
-                      final_min_eig=None if min_eig is None else float(min_eig),
-                      history=history)
+    return rec.finish(status, x, gnorm, k, min_eig, nu=state.nu,
+                      fvalue=bundle.fvalue, tau=state.tau, delta=state.delta)
 
 
 def run_ar2(problem, config: Ar2Config, *, collect_history: bool = False) -> RunOutcome:
@@ -405,35 +405,22 @@ def run_ar2(problem, config: Ar2Config, *, collect_history: bool = False) -> Run
     gamma3 cap a rejection changes neither, so the next iteration reuses the
     previous solve exactly and repeats only the (noisy) trial evaluation.
     """
-    trace = RunTrace(problem=getattr(problem, "name", ""), algorithm="ar2",
-                     config_hash=_config_hash(config))
-    history = RunHistory([], [], [], []) if collect_history else None
+    rec = _Record(problem, "ar2", config, collect_history)
+    trace = rec.trace
 
     x = np.array(problem.x0, dtype=float)
     bundle = problem.evaluate(x)
     if bundle.fvalue is None or bundle.hessian is None:
         raise ValueError("ar2 needs function values and Hessians")
     if not bundle.is_finite(need_hessian=True) or not math.isfinite(bundle.fvalue):
-        trace.append(k=0, grad_norm=math.nan)
-        return RunOutcome(RunStatus.ORACLE_OVERFLOW, x, math.nan, 0, trace,
-                          history=history)
+        return rec.finish(RunStatus.ORACLE_OVERFLOW, x, math.nan, 0)
     gnorm = vnorm(bundle.gradient)
     sigma = config.sigma0
-    if collect_history:
-        history.xs.append(x.copy())
-        history.bundles.append(bundle)
+    rec.point(x, bundle)
 
     k = 0
-    status = None
     step = step_sigma = None
-    while True:
-        if gnorm <= config.eps1:
-            status = RunStatus.FIRST_ORDER
-            break
-        if k >= config.max_iter:
-            status = RunStatus.MAX_ITERATIONS
-            break
-
+    while not gnorm <= config.eps1 and k < config.max_iter:
         if step is None or sigma != step_sigma:
             step = solve_p2(bundle.gradient, bundle.hessian, sigma)
             step_sigma = sigma
@@ -456,14 +443,11 @@ def run_ar2(problem, config: Ar2Config, *, collect_history: bool = False) -> Run
             fvalue=bundle.fvalue, rho=rho,
             accepted=math.nan if overflow else float(accepted),
         )
-        if collect_history:
-            history.steps.append(step.step.copy())
-            history.step_results.append(step)
+        rec.step(step)
         k += 1
         if overflow:
-            gnorm = math.nan
-            status = RunStatus.ORACLE_OVERFLOW
-            break
+            return rec.finish(RunStatus.ORACLE_OVERFLOW, x, math.nan, k,
+                              _min_eig(bundle), sigma=sigma)
 
         if accepted:
             x = trial_x
@@ -472,16 +456,10 @@ def run_ar2(problem, config: Ar2Config, *, collect_history: bool = False) -> Run
             step = None
             if rho >= config.eta2:
                 sigma = max(config.sigma_min, config.gamma2 * sigma)
+            rec.point(x, bundle)
         else:
             sigma = min(config.gamma1 * sigma, config.gamma3)
-        if collect_history and accepted:
-            history.xs.append(x.copy())
-            history.bundles.append(bundle)
 
-    min_eig = _min_eig(bundle)
-    trace.append(
-        k=k, grad_norm=gnorm, sigma=sigma, min_eig=min_eig,
-        fvalue=math.nan if status == RunStatus.ORACLE_OVERFLOW else bundle.fvalue,
-    )
-    return RunOutcome(status, x, gnorm, k, trace,
-                      final_min_eig=min_eig, history=history)
+    status = RunStatus.FIRST_ORDER if gnorm <= config.eps1 else RunStatus.MAX_ITERATIONS
+    return rec.finish(status, x, gnorm, k, _min_eig(bundle), sigma=sigma,
+                      fvalue=bundle.fvalue)

@@ -92,10 +92,10 @@ def _secular_root(w: Array, ghat2: Array, sigma: float, lam_low: float) -> float
     it.  Here the search starts at the largest such point at most
     L = (-w_n + sqrt(w_n^2 + 2 sigma ||g||)) / 2, a lower bound on the root
     because ||s(lam)|| >= ||g|| / (lam + w_n).  It doubles from there while
-    phi > 0, or halves while phi <= 0 one point lower.  The computed phi is
-    monotone in lam too, so either way it stops at the very point the search
-    from base stops at, after about three evaluations instead of twenty on
-    the suite's solves.
+    phi > 0, or else halves while phi <= 0 one point lower.  The computed phi
+    is monotone in lam too, so either way it stops at the very point the
+    search from base stops at, after about three evaluations instead of
+    twenty on the suite's solves.
     Each evaluation yields the slope term in the same pass as ||s||.  Once an
     iteration leaves (lo, hi, lam) unchanged every later one would repeat
     it, so the loop stops there with the lam it would have returned.
@@ -125,13 +125,15 @@ def _secular_root(w: Array, ghat2: Array, sigma: float, lam_low: float) -> float
     ratio = bound / base
     hi = math.ldexp(base, math.frexp(ratio)[1] - 1) if 1.0 <= ratio < math.inf else base
     phi_hi = evaluate(hi)[1]
-    while phi_hi > 0.0:
-        hi *= 2.0
-        if not math.isfinite(hi):
-            raise RuntimeError("failed to bracket the secular root")
-        phi_hi = evaluate(hi)[1]
-    while hi != base and not evaluate(0.5 * hi)[1] > 0.0:
-        hi *= 0.5
+    if phi_hi > 0.0:
+        while phi_hi > 0.0:
+            hi *= 2.0
+            if not math.isfinite(hi):
+                raise RuntimeError("failed to bracket the secular root")
+            phi_hi = evaluate(hi)[1]
+    else:
+        while hi != base and not evaluate(0.5 * hi)[1] > 0.0:
+            hi *= 0.5
 
     lam = 0.5 * (lo + hi)
     for _ in range(_MAX_SECULAR_ITER):

@@ -3,8 +3,9 @@
 One row per iteration plus a final row for the point the run stopped at,
 so a run of K iterations yields K + 1 rows.  Columns not meaningful for a
 given algorithm (e.g. xi for strict mode, rho for the derivative-only
-solvers) hold NaN.  Floats are written with shortest round-trip formatting,
-so parse(emit(trace)) reproduces the trace bitwise.
+solvers) hold NaN, whether left out of append or passed as None.  Floats
+are written with shortest round-trip formatting, so parse(emit(trace))
+reproduces the trace bitwise.
 """
 
 from __future__ import annotations
@@ -49,7 +50,7 @@ class RunTrace:
     def append(self, **values) -> None:
         if not values.keys() <= _COLUMN_SET:
             raise ValueError(f"unknown trace columns: {sorted(values.keys() - _COLUMN_SET)}")
-        row = [float(values.get(c, math.nan)) for c in COLUMNS]
+        row = [math.nan if v is None else float(v) for v in map(values.get, COLUMNS)]
         self.rows.append(row)
 
     def __len__(self) -> int:

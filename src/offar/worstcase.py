@@ -121,7 +121,15 @@ def _verify(seq: SlowSequence) -> None:
            f"{name} magnitudes left [eps, 2 eps]")
     _check(bool(np.all(absv[:-1] > eps)), "early termination would trigger")
     _check(v[-1] == -eps, f"final {name} must hit -eps exactly")
-    _check(bool(np.all(seq.sigmas <= seq.sigma_max_bound * (1.0 + 1e-12))),
+    # Larger steps only loosen the growth bounds below: tie them to the recursions.
+    sigmas, q = seq.sigmas, p + 1 - order
+    steps = (math.factorial(p) * absv / sigmas) ** (1.0 / q)
+    _check(bool(np.allclose(seq.svals, steps, rtol=1e-12, atol=0.0)),
+           "steps do not follow s_k = (p! |v_k| / sigma_k)^(1/q)")
+    _check(bool(np.allclose(sigmas[1:], sigmas[:-1] + sigmas[:-1] * s ** (p + 1),
+                            rtol=1e-12, atol=0.0)),
+           "weights do not follow sigma_{k+1} = sigma_k + sigma_k s_k^(p+1)")
+    _check(bool(np.all(sigmas <= seq.sigma_max_bound * (1.0 + 1e-12))),
            "sigma exceeded its closed-form ceiling")
     f = seq.fvals
     _check(bool(np.all(f <= f[0] + 1e-12 * abs(f[0])) and np.all(f >= -1e-12 * abs(f[0]))),

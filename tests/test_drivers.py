@@ -146,6 +146,13 @@ class TestOverflow:
         assert len(out.trace) == out.iterations + 1
         assert math.isnan(out.final_grad_norm)
 
+    def test_ar2_overflow_at_start(self):
+        out = run_ar2(self.oracle_exploding(0), Ar2Config(eps1=1e-6))
+        assert out.status == RunStatus.ORACLE_OVERFLOW
+        assert out.iterations == 0
+        assert len(out.trace) == 1
+        assert math.isnan(out.trace.column("grad_norm")[0])
+
     def test_nonfinite_fvalue_alone_is_not_overflow(self):
         def ev(x):
             f = math.inf if np.linalg.norm(x) > 0.5 else 1.0
@@ -154,6 +161,20 @@ class TestOverflow:
         po = ProblemOracle("badf", 2, np.array([3.0, 4.0]), ev, ProblemMeta())
         out = run_offar(po, OffoConfig(degree=2, eps1=1e-8))
         assert out.status == RunStatus.FIRST_ORDER
+
+
+class TestCertificateErrors:
+    def test_offar_raises_when_certificate_fails(self, monkeypatch):
+        monkeypatch.setattr(solvers, "certify", lambda *args: False)
+        po = quadratic_oracle(np.eye(2), np.ones(2), np.zeros(2))
+        with pytest.raises(solvers.CertificateError, match="iteration 0"):
+            run_offar(po, OffoConfig(degree=2, eps1=1e-6))
+
+    def test_ar2_raises_on_zero_taylor_decrease(self, monkeypatch):
+        monkeypatch.setattr(solvers, "taylor_decrease", lambda model, s: 0.0)
+        po = quadratic_oracle(np.eye(2), np.ones(2), np.zeros(2))
+        with pytest.raises(solvers.CertificateError, match="iteration 0"):
+            run_ar2(po, Ar2Config(eps1=1e-6))
 
 
 class TestMoffar:
@@ -283,6 +304,15 @@ class TestAr2:
         assert len(out.trace) == out.iterations + 1
         assert math.isnan(out.trace.column("rho")[0])
         assert math.isnan(out.trace.column("accepted")[0])
+
+    def test_history_lengths(self):
+        out = run_ar2(get_problem("rosenbr"), Ar2Config(eps1=1e-6), collect_history=True)
+        h = out.history
+        accepted = int(out.trace.column("accepted")[:-1].sum())
+        assert 0 < accepted < out.iterations  # both branches ran
+        assert len(h.steps) == len(h.step_results) == out.iterations
+        assert len(h.xs) == len(h.bundles) == 1 + accepted
+        np.testing.assert_array_equal(h.xs[-1], out.final_x)
 
     def test_needs_function_values(self):
         def ev(x):

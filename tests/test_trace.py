@@ -29,6 +29,11 @@ class TestContainer:
         others = [row[i] for i, c in enumerate(COLUMNS) if c not in ("k", "grad_norm")]
         assert all(math.isnan(v) for v in others)
 
+    def test_append_writes_none_as_nan(self):
+        tr = RunTrace()
+        tr.append(k=0, mu1=None)
+        assert math.isnan(tr.rows[0][COLUMNS.index("mu1")])
+
     def test_unknown_column_rejected(self):
         tr = RunTrace()
         with pytest.raises(ValueError, match="unknown trace"):

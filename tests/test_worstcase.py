@@ -130,8 +130,9 @@ class TestSecondOrderSequence:
         assert seq.sigmas[-1] <= seq.sigma_max_bound
 
 
-# Scaling svals by 3 slips past both verifiers, so it is not a case here.
-@pytest.mark.parametrize("field,factor", [("values", 3.0), ("fvals", -1.0), ("sigmas", 1e3)])
+@pytest.mark.parametrize("field,factor", [("values", 3.0), ("fvals", -1.0), ("sigmas", 1e3),
+                                          ("svals", 3.0), ("svals", 1.0 / 3.0),
+                                          ("sigmas", 1.0 + 1e-9)])
 @pytest.mark.parametrize("seq", [gen_first_order(2, 0.25, 1.0), gen_second_order(2, 0.5, 1.0)],
                          ids=["order1", "order2"])
 def test_tampered_sequence_is_rejected(seq, field, factor):
