@@ -1,10 +1,10 @@
 """Batch machinery: single runs by algorithm name, benchmark sweeps, CSV output.
 
 Algorithm names: offar1, offar2a (target decay exponent beta = 1), offar2b
-(beta = 2/3), moffar2, ar2.  Under noise the derivative-only variants run
-with smoothing on and targets {gradient, hessian}; ar2 additionally sees
-noisy function values.  Cost of a run is its iteration count, inf when it
-did not reach its tolerance.
+(beta = 2/3), moffar2, ar2.  Under noise the derivative-only variants see
+noisy gradients and Hessians and run the same weight rule as on clean
+problems; ar2 additionally sees noisy function values.  Cost of a run is its
+iteration count, inf when it did not reach its tolerance.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ SUCCESS = (RunStatus.FIRST_ORDER, RunStatus.SECOND_ORDER)
 
 
 def _offo_config(algorithm: str, *, eps1, eps2, max_iter, strict, nu0,
-                 smoothing, vartheta) -> OffoConfig:
+                 vartheta) -> OffoConfig:
     degree = 1 if algorithm == "offar1" else 2
     beta = 2.0 / 3.0 if algorithm == "offar2b" else 1.0
     if algorithm == "moffar2":
@@ -41,7 +41,7 @@ def _offo_config(algorithm: str, *, eps1, eps2, max_iter, strict, nu0,
     return OffoConfig(
         degree=degree, theta2=theta2, vartheta=vartheta,
         eps1=eps1, eps2=eps2, beta=beta, max_iter=max_iter,
-        smoothing=smoothing and degree == 2, strict_mode=strict, nu0=nu0,
+        strict_mode=strict, nu0=nu0,
     )
 
 
@@ -74,7 +74,7 @@ def run_single(
     else:
         config = _offo_config(
             algorithm, eps1=eps1, eps2=eps2, max_iter=max_iter, strict=strict,
-            nu0=nu0, smoothing=noise_level > 0.0, vartheta=vartheta,
+            nu0=nu0, vartheta=vartheta,
         )
         runner = run_moffar if algorithm == "moffar2" else run_offar
         outcome = runner(problem, config)

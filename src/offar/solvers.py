@@ -6,8 +6,8 @@ norms and step norms through the mu1/nu recursions.  run_moffar adds the
 curvature channel (mu2, smallest Hessian eigenvalue) and stops at approximate
 second-order points.  Both support a strict mode (sigma_k = max of the lower
 bound and the mu estimates, nu0 user supplied) and a practical mode (the
-xi/target relaxation, nu0 = max[varsigma, 6||g0||], optional smoothing of the
-noisy update quantities).
+xi/target relaxation, nu0 = max[varsigma, 6||g0||]).  The same rule runs
+on clean and noisy oracles.
 
 run_ar2 is the classical function-value-based adaptive regularization
 baseline, sharing the same exact subproblem solver; it is the only driver
@@ -67,7 +67,6 @@ class OffoConfig:
     beta: float = 1.0
     varsigma: float = 1e-6
     max_iter: int = 50000
-    smoothing: bool = False
     strict_mode: bool = False
     nu0: float | None = None
 
@@ -90,22 +89,13 @@ class OffoConfig:
             raise ValueError(f"varsigma must be positive, got {self.varsigma}")
         if self.max_iter < 0:
             raise ValueError(f"max_iter must be nonnegative, got {self.max_iter}")
-        if self.smoothing and self.degree != 2:
-            raise ValueError("smoothing is defined for degree 2 only")
-        if self.smoothing and self.strict_mode:
-            raise ValueError("smoothing is a practical-mode feature")
         if self.nu0 is not None and not self.nu0 > 0.0:
             raise ValueError(f"nu0 must be positive, got {self.nu0}")
 
 
 @dataclass
 class Ar2Config:
-    """Classical AR2 parameters.
-
-    inner_theta is the inner stopping parameter of the reference
-    parameterization; it is recorded but unused because the subproblem is
-    solved exactly here.
-    """
+    """Classical AR2 parameters."""
 
     eps1: float = 1e-6
     sigma0: float = 1.0
@@ -115,7 +105,6 @@ class Ar2Config:
     gamma2: float = 0.5
     gamma3: float = 1e20
     sigma_min: float = 1e-4
-    inner_theta: float = 0.1
     max_iter: int = 50000
 
     def __post_init__(self):
@@ -141,8 +130,6 @@ class SolverState:
     mu2: float | None = None
     xi: float = 1.0
     target: float = 0.0
-    delta: float | None = None
-    tau: float | None = None
 
 
 @dataclass
@@ -224,23 +211,6 @@ def xi_target_update(state: SolverState, grad_norm_now: float,
     return xi, target
 
 
-def smoothed_updates(state: SolverState, grad_norm: float, prev_step_norm: float,
-                     config: OffoConfig) -> tuple[float, float, float]:
-    """Exponentially smoothed delta/tau recursions and the resulting mu1.
-
-    delta smooths the raw ratio 2 ||g_k|| / ||s_{k-1}||^2 (degree 2), tau
-    smooths the gradient norm used by the xi/target rules.
-    """
-    if not prev_step_norm > 0.0:
-        raise ValueError("previous step norm must be positive")
-    if state.delta is None or state.tau is None:
-        raise ValueError("smoothing state not initialized")
-    delta = 0.9 * state.delta + 0.1 * (2.0 * grad_norm / prev_step_norm**2)
-    tau = 0.9 * state.tau + 0.1 * grad_norm
-    mu1 = delta - config.theta1 * state.sigma
-    return delta, tau, mu1
-
-
 def _min_eig(bundle: DerivativeBundle) -> float:
     return float(np.linalg.eigvalsh(bundle.hessian)[0])
 
@@ -311,9 +281,6 @@ def _run_offo(problem, config: OffoConfig, *, second_order: bool,
     nu0 = config.nu0 if config.nu0 is not None else max(config.varsigma, 6.0 * gnorm)
     state = SolverState(nu=nu0, sigma=nu0)
     state.target = 0.9 * gnorm**config.beta
-    if config.smoothing:
-        state.delta = max(config.varsigma, gnorm)
-        state.tau = gnorm
     gnorm_prev = gnorm
     prev_step_norm = None
     rec.point(x, bundle)
@@ -327,24 +294,13 @@ def _run_offo(problem, config: OffoConfig, *, second_order: bool,
         if k == 0:
             sigma = nu0
         else:
-            if config.smoothing:
-                state.delta, tau_now, state.mu1 = smoothed_updates(
-                    state, gnorm, prev_step_norm, config)
-            else:
-                state.mu1 = mu1_update(gnorm, prev_step_norm, state.sigma,
-                                       config.theta1, p)
+            state.mu1 = mu1_update(gnorm, prev_step_norm, state.sigma, config.theta1, p)
             if second_order:
                 state.mu2 = mu2_update(min_eig, prev_step_norm, state.sigma,
                                        config.theta2, p)
             if not config.strict_mode:
-                if config.smoothing:
-                    measure_now, measure_prev = tau_now, state.tau
-                else:
-                    measure_now, measure_prev = gnorm, gnorm_prev
                 state.xi, state.target = xi_target_update(
-                    state, measure_now, measure_prev, config)
-            if config.smoothing:
-                state.tau = tau_now
+                    state, gnorm, gnorm_prev, config)
             sigma = sigma_select(state, config)
         state.sigma = sigma
 
@@ -365,8 +321,7 @@ def _run_offo(problem, config: OffoConfig, *, second_order: bool,
             taylor_grad_norm=step.taylor_grad_norm,
             xi=math.nan if config.strict_mode else state.xi,
             target=math.nan if config.strict_mode else state.target,
-            delta=state.delta, tau=state.tau, min_eig=step.taylor_min_curv,
-            fvalue=bundle.fvalue,
+            min_eig=step.taylor_min_curv, fvalue=bundle.fvalue,
         )
         rec.step(step)
 
@@ -379,8 +334,7 @@ def _run_offo(problem, config: OffoConfig, *, second_order: bool,
         bundle = problem.evaluate(x)
         if not bundle.is_finite(need_hessian=need_hessian):
             return rec.finish(RunStatus.ORACLE_OVERFLOW, x, math.nan, k,
-                              math.nan if second_order else None,
-                              nu=state.nu, tau=state.tau, delta=state.delta)
+                              math.nan if second_order else None, nu=state.nu)
         gnorm = vnorm(bundle.gradient)
         min_eig = _min_eig(bundle) if second_order else None
         rec.point(x, bundle)
@@ -392,7 +346,7 @@ def _run_offo(problem, config: OffoConfig, *, second_order: bool,
     if p == 2 and not second_order:
         min_eig = _min_eig(bundle)
     return rec.finish(status, x, gnorm, k, min_eig, nu=state.nu,
-                      fvalue=bundle.fvalue, tau=state.tau, delta=state.delta)
+                      fvalue=bundle.fvalue)
 
 
 def run_ar2(problem, config: Ar2Config, *, collect_history: bool = False) -> RunOutcome:

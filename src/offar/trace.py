@@ -11,7 +11,6 @@ reproduces the trace bitwise.
 from __future__ import annotations
 
 import csv
-import io
 import math
 from dataclasses import dataclass, field
 
@@ -29,8 +28,6 @@ COLUMNS = (
     "taylor_grad_norm",
     "xi",
     "target",
-    "delta",
-    "tau",
     "min_eig",
     "fvalue",
     "rho",
@@ -89,18 +86,16 @@ class RunTrace:
     @classmethod
     def _read(cls, fh) -> "RunTrace":
         meta = {}
-        text = fh.read()
-        lines = text.splitlines()
-        body_start = 0
-        for i, line in enumerate(lines):
-            if line.startswith("#"):
-                key, _, value = line[1:].strip().partition("=")
-                meta[key.strip()] = value
-            else:
-                body_start = i
-                break
-        reader = csv.reader(io.StringIO("\n".join(lines[body_start:])))
-        header = next(reader)
+        lines = fh.read().splitlines()
+        body = 0
+        while body < len(lines) and lines[body].startswith("#"):
+            key, _, value = lines[body][1:].strip().partition("=")
+            meta[key.strip()] = value
+            body += 1
+        reader = csv.reader(lines[body:])
+        header = next(reader, None)
+        if header is None:
+            raise ValueError("trace header row is missing")
         if tuple(header) != COLUMNS:
             raise ValueError(f"unexpected trace header: {header}")
         rows = [[float(v) for v in row] for row in reader if row]

@@ -210,28 +210,6 @@ class TestMoffar:
         assert out.final_min_eig > 0.0
 
 
-class TestSmoothing:
-    def test_initial_state_recorded(self):
-        po = get_problem("rosenbr")
-        cfg = OffoConfig(degree=2, eps1=1e-6, smoothing=True)
-        out = run_offar(po, cfg)
-        g0 = out.trace.column("grad_norm")[0]
-        assert out.trace.column("delta")[0] == pytest.approx(max(1e-6, g0))
-        assert out.trace.column("tau")[0] == pytest.approx(g0)
-
-    def test_smoothed_run_converges_clean(self):
-        po = get_problem("rosenbr")
-        out = run_offar(po, OffoConfig(degree=2, eps1=1e-6, smoothing=True))
-        assert out.status == RunStatus.FIRST_ORDER
-
-    def test_smoothing_changes_trajectory(self):
-        po = get_problem("woods")
-        a = run_offar(po, OffoConfig(degree=2, eps1=1e-6))
-        b = run_offar(po, OffoConfig(degree=2, eps1=1e-6, smoothing=True))
-        sa, sb = a.trace.column("sigma"), b.trace.column("sigma")
-        assert len(sa) != len(sb) or not np.array_equal(sa[:-1], sb[:-1])
-
-
 class TestAr2:
     def test_quadratic_fast(self):
         po = quadratic_oracle(np.diag([1.0, 3.0]), np.array([1.0, 1.0]), np.zeros(2))

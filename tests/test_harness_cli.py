@@ -5,8 +5,9 @@ import csv
 import numpy as np
 import pytest
 
-from offar import (DerivativeBundle, ProblemMeta, ProblemOracle, RunStatus,
-                   get_problem, run_bench, run_single)
+from offar import (DerivativeBundle, NoiseSpec, OffoConfig, ProblemMeta,
+                   ProblemOracle, RunStatus, add_noise, get_problem, run_bench,
+                   run_offar, run_single)
 from offar.cli import _STATUS_CODES, main
 from offar.harness import (ALGORITHMS, write_costs_csv, write_profile_csv,
                            write_summary_csv)
@@ -64,6 +65,17 @@ class TestRunSingle:
         c = run_single(po, "offar2a", seed=4, **kw)
         assert a.trace.equals(b.trace)
         assert not a.trace.equals(c.trace)
+
+    @pytest.mark.parametrize("name", ["rosenbr", "woods"])
+    def test_noise_adds_no_hidden_switch(self, name):
+        # Under noise, offar2a is the default-configured driver on the noisy oracle.
+        po = get_problem(name)
+        got = run_single(po, "offar2a", eps1=1e-3, noise_level=0.25, seed=1, max_iter=200)
+        noisy = add_noise(po, NoiseSpec(0.25, 1, frozenset({"gradient", "hessian"})))
+        want = run_offar(noisy, OffoConfig(eps1=1e-3, max_iter=200))
+        assert (got.status, got.iterations) == (want.status, want.iterations)
+        assert got.trace.config_hash == want.trace.config_hash
+        assert np.array(got.trace.rows).tobytes() == np.array(want.trace.rows).tobytes()
 
 
 @pytest.fixture(scope="module")

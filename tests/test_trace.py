@@ -91,6 +91,12 @@ class TestRoundTrip:
         with pytest.raises(ValueError, match="header"):
             RunTrace.from_csv(io.StringIO("# problem=x\nk,grad\n0,1.0\n"))
 
+    @pytest.mark.parametrize("text", ["", "# problem=x\n# seed=\n"],
+                             ids=["empty", "comments-only"])
+    def test_missing_header_rejected(self, text):
+        with pytest.raises(ValueError, match="header row is missing"):
+            RunTrace.from_csv(io.StringIO(text))
+
     def test_comment_block_is_ordered_first(self):
         buf = io.StringIO()
         sample_trace().to_csv(buf)

@@ -1,9 +1,7 @@
-import math
-
 import pytest
 
 from offar import (OffoConfig, SolverState, mu1_update, mu2_update, nu_update,
-                   sigma_select, smoothed_updates, xi_target_update)
+                   sigma_select, xi_target_update)
 
 
 class TestMu1:
@@ -133,32 +131,6 @@ class TestXiTarget:
         assert target == pytest.approx(0.9 * 0.5 ** (2.0 / 3.0))
 
 
-class TestSmoothed:
-    def cfg(self):
-        return OffoConfig(degree=2, smoothing=True, theta1=2.0)
-
-    def test_delta_recursion(self):
-        st = SolverState(sigma=1.0, delta=1.0, tau=2.0)
-        delta, tau, mu1 = smoothed_updates(st, 1.0, math.sqrt(2.0), self.cfg())
-        assert delta == pytest.approx(1.0)
-        assert tau == pytest.approx(1.9)
-        assert mu1 == pytest.approx(1.0 - 2.0)
-
-    def test_tau_decay_to_zero_gradient(self):
-        st = SolverState(sigma=1.0, delta=1.0, tau=2.0)
-        _, tau, _ = smoothed_updates(st, 0.0, 1.0, self.cfg())
-        assert tau == pytest.approx(1.8)
-
-    def test_requires_initialized_state(self):
-        with pytest.raises(ValueError):
-            smoothed_updates(SolverState(sigma=1.0), 1.0, 1.0, self.cfg())
-
-    def test_requires_positive_step(self):
-        st = SolverState(sigma=1.0, delta=1.0, tau=1.0)
-        with pytest.raises(ValueError):
-            smoothed_updates(st, 1.0, 0.0, self.cfg())
-
-
 class TestConfigValidation:
     @pytest.mark.parametrize("kw", [
         dict(degree=3),
@@ -172,8 +144,6 @@ class TestConfigValidation:
         dict(beta=0.0),
         dict(varsigma=0.0),
         dict(max_iter=-1),
-        dict(smoothing=True, degree=1),
-        dict(smoothing=True, strict_mode=True),
         dict(nu0=0.0),
     ])
     def test_bad_offo_config(self, kw):
