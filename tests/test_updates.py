@@ -144,6 +144,8 @@ class TestConfigValidation:
         dict(beta=0.0),
         dict(varsigma=0.0),
         dict(max_iter=-1),
+        dict(eps2=1.5),
+        dict(beta=1.5),
         dict(nu0=0.0),
     ])
     def test_bad_offo_config(self, kw):
