@@ -122,17 +122,20 @@ def run_bench(
         raise ValueError("need at least one seed")
     names = tuple(p.name for p in oracles)
 
+    eps_by_level = {
+        level: (eps1 if eps1 is not None else (EPS_CLEAN if level == 0.0 else EPS_NOISY))
+        for level in levels
+    }
     costs = {}
     statuses = {}
     for level in levels:
-        eps = eps1 if eps1 is not None else (EPS_CLEAN if level == 0.0 else EPS_NOISY)
         for seed in seeds if level > 0.0 else seeds[:1]:
             mat = np.full((len(oracles), len(algorithms)), np.inf)
             stat = np.empty((len(oracles), len(algorithms)), dtype=object)
             for i, oracle in enumerate(oracles):
                 for j, alg in enumerate(algorithms):
-                    out = run_single(oracle, alg, eps1=eps, noise_level=level,
-                                     seed=seed, max_iter=max_iter)
+                    out = run_single(oracle, alg, eps1=eps_by_level[level],
+                                     noise_level=level, seed=seed, max_iter=max_iter)
                     stat[i, j] = out.status.value
                     if out.status in SUCCESS:
                         mat[i, j] = float(out.iterations)
@@ -154,10 +157,6 @@ def run_bench(
         profile = compute_profile(costs[(0.0, seeds[0])], problems=names,
                                   algorithms=algorithms)
 
-    eps_by_level = {
-        level: (eps1 if eps1 is not None else (EPS_CLEAN if level == 0.0 else EPS_NOISY))
-        for level in levels
-    }
     return BenchResult(problems=names, algorithms=algorithms, levels=levels,
                        seeds=seeds, costs=costs, statuses=statuses, rho=rho,
                        profile=profile, eps_by_level=eps_by_level)

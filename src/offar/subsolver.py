@@ -5,11 +5,12 @@ minimizer of g.s + 0.5 s.H.s + sigma/6 ||s||^3 is characterized by
 
     (H + lambda I) s = -g,   lambda = sigma ||s|| / 2,   H + lambda I >= 0,
 
-solved through a dense symmetric eigendecomposition plus a safeguarded
-scalar Newton iteration on phi(lambda) = ||(H + lambda I)^-1 g|| - 2 lambda/sigma.
-The hard case (g numerically orthogonal to the leftmost eigenspace with
-lambda* = -lambda_1) adds a leftmost eigenvector component whose sign is made
-deterministic by orienting the eigenvector.
+solved through a dense symmetric eigendecomposition plus a scalar Newton
+iteration on psi(lambda) = 1/||(H + lambda I)^-1 g|| - sigma/(2 lambda), which
+climbs monotonically to the root from a lower bound.  The hard case (g
+numerically orthogonal to the leftmost eigenspace with lambda* = -lambda_1)
+adds a leftmost eigenvector component whose sign is made deterministic by
+orienting the eigenvector.
 
 Problem dimensions are desk scale (n <= a few dozen), so the dense route is
 both exact and cheap.
@@ -22,14 +23,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import RegularizedModel, model_value, taylor_gradient_norm, vnorm
+from .model import (RegularizedModel, model_value, taylor_gradient_norm,
+                    taylor_min_curvature, vnorm)
 
 Array = np.ndarray
 
 # Relative threshold below which the gradient is treated as orthogonal to the
 # leftmost eigenspace.
 _HARD_CASE_RTOL = 1e-12
-_MAX_SECULAR_ITER = 200
 # Relative slack of certify's inequalities: the exact minimizer attains some
 # of them with equality (e.g. theta1 = 1).
 _CERTIFY_RTOL = 1e-10
@@ -79,91 +80,55 @@ def _oriented(u: Array) -> Array:
 
 
 def _secular_root(w: Array, ghat2: Array, sigma: float, lam_low: float) -> float:
-    """Root of phi(lam) = ||s(lam)|| - 2 lam / sigma on (lam_low, inf).
+    """Root of psi(lam) = 1/||s(lam)|| - sigma/(2 lam) on (lam_low, inf).
 
-    phi is strictly decreasing there, so a bracketed Newton iteration with
-    bisection fallback converges; the loop runs until the residual is at
-    machine level or the bracket collapses.  The inner evaluations run on
-    plain floats: the caller invokes this many thousands of times on small
-    problems and numpy call overhead dominates otherwise.
-
-    The bracket's upper end is the first point base * 2^k, base =
-    max(1, 2 lam_low), at which phi <= 0: a doubling search from base finds
-    it.  Here the search starts at the largest such point at most
-    L = (-w_n + sqrt(w_n^2 + 2 sigma ||g||)) / 2, a lower bound on the root
-    because ||s(lam)|| >= ||g|| / (lam + w_n).  It doubles from there while
-    phi > 0, or else halves while phi <= 0 one point lower.  The computed phi
-    is monotone in lam too, so either way it stops at the very point the
-    search from base stops at, after about three evaluations instead of
-    twenty on the suite's solves.
-    Each evaluation yields the slope term in the same pass as ||s||.  Once an
-    iteration leaves (lo, hi, lam) unchanged every later one would repeat
-    it, so the loop stops there with the lam it would have returned.
+    Here ||s(lam)||^2 = sum_i ghat2_i / (w_i + lam)^2.  psi is increasing and
+    concave there, so Newton steps taken left of the root climb monotonically
+    to it (More & Sorensen 1983; Cartis, Gould & Toint 2011, Part I, sec. 6),
+    and the first step that does not increase lam marks the root in floating
+    point.  The start is the largest positive root of lam (lam + w_i) =
+    sigma |ghat_i| / 2, a lower bound because ||s(lam)|| >= |ghat_i| / (w_i +
+    lam), moved one ulp above lam_low where ||s|| has its pole.  Returns inf
+    when ||s|| overflows.  The loop runs on plain floats: the caller invokes
+    this many thousands of times on small problems and numpy call overhead
+    dominates otherwise.
     """
-    ws, gs = w.tolist(), ghat2.tolist()
-    pairs = list(zip(ws, gs))
-
-    def evaluate(lam: float) -> tuple[float, float, float]:
-        """||s(lam)||, phi(lam) and sum ghat_i^2 / (w_i + lam)^3."""
+    pairs = list(zip(w.tolist(), ghat2.tolist()))
+    lam = lam_low
+    for wi, gi in pairs:
+        c = 0.5 * sigma * math.sqrt(gi)
+        h = 0.5 * wi
+        q = math.sqrt(h * h + c)
+        # q - h cancels for w_i > 0; the quotient form does not.  An
+        # overflowed ghat2_i gives nan here, which never wins the max.
+        root = c / (q + h) if h > 0.0 else q - h
+        if root > lam:
+            lam = root
+    if lam == lam_low:
+        lam = math.nextafter(lam, math.inf)
+    while True:
         r2 = rp = 0.0
         for wi, gi in pairs:
             d = wi + lam
-            if d == 0.0:
-                return math.inf, math.inf, rp
             dd = d * d
             r2 += gi / dd
             rp += gi / (dd * d)
-        r = math.sqrt(r2) if r2 < math.inf else math.inf
-        return r, r - 2.0 * lam / sigma, rp
-
-    lo = lam_low
-    base = max(1.0, 2.0 * lam_low)
-    w_n = ws[-1] if ws else 0.0
-    # abs() only matters for sigma < 0, where phi > 0 everywhere and the
-    # doubling fails to bracket from any start.
-    bound = 0.5 * (-w_n + math.sqrt(abs(w_n * w_n + 2.0 * sigma * math.sqrt(sum(gs)))))
-    ratio = bound / base
-    hi = math.ldexp(base, math.frexp(ratio)[1] - 1) if 1.0 <= ratio < math.inf else base
-    phi_hi = evaluate(hi)[1]
-    if phi_hi > 0.0:
-        while phi_hi > 0.0:
-            hi *= 2.0
-            if not math.isfinite(hi):
-                raise RuntimeError("failed to bracket the secular root")
-            phi_hi = evaluate(hi)[1]
-    else:
-        while hi != base and not evaluate(0.5 * hi)[1] > 0.0:
-            hi *= 0.5
-
-    lam = 0.5 * (lo + hi)
-    for _ in range(_MAX_SECULAR_ITER):
-        state = (lo, hi, lam)
-        r, phi, rp = evaluate(lam)
-        if phi > 0.0:
-            lo = lam
-        else:
-            hi = lam
-        if abs(phi) <= 1e-15 * max(1.0, 2.0 * lam / sigma):
-            break
-        if hi - lo <= 1e-16 * max(1.0, hi):
-            break
-        newton = None
-        if math.isfinite(r) and r > 0.0:
-            dphi = -rp / r - 2.0 / sigma
-            if dphi < 0.0:
-                cand = lam - phi / dphi
-                if lo < cand < hi:
-                    newton = cand
-        lam = newton if newton is not None else 0.5 * (lo + hi)
-        if (lo, hi, lam) == state:
-            break
-    return lam
+        if not r2 < math.inf:
+            return math.inf
+        a = 1.0 / math.sqrt(r2)
+        b = 0.5 * sigma / lam
+        # Newton step -psi/psi' with psi = a - b, psi' = rp a^3 + b / lam.
+        nxt = lam + (b - a) / (rp * a * a * a + b / lam)
+        if not nxt > lam:
+            return lam
+        lam = nxt
 
 
 def solve_p2(g, H, sigma: float) -> StepResult:
     """Global minimizer of g.s + 0.5 s.H.s + sigma/6 ||s||^3.
 
-    The secular iteration polishes the multiplier to machine precision.
+    The multiplier is the root of the secular equation to within a few ulps;
+    OverflowError when ||s|| overflows float64 there.
     """
     g = np.asarray(g, dtype=float)
     if g.ndim == 0:
@@ -261,7 +226,6 @@ def certify(
 
     if theta2 is not None and p == 2:
         cbound = theta2 * sigma / math.factorial(p - 1) * snorm ** (p - 1)
-        lam_min = float(np.linalg.eigvalsh(model.bundle.hessian)[0])
-        if lam_min < -cbound - _CERTIFY_RTOL * max(1.0, cbound):
+        if taylor_min_curvature(model) < -cbound - _CERTIFY_RTOL * max(1.0, cbound):
             return False
     return True
