@@ -1,7 +1,7 @@
 """Command line front end.
 
 Exit codes: 0 run converged, 1 usage error, 2 iteration budget exhausted,
-3 oracle overflow.
+3 oracle overflow (non-finite derivatives, or a gradient norm beyond float64).
 """
 
 from __future__ import annotations

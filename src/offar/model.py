@@ -66,8 +66,9 @@ class DerivativeBundle:
         return self.gradient.size
 
     def is_finite(self, *, need_hessian: bool = False) -> bool:
-        """Finiteness of the derivative data; fvalue is not consulted."""
-        if not np.isfinite(self.gradient).all():
+        """Finiteness of the derivative data, the gradient's norm included (finite
+        entries can still overflow it); fvalue is not consulted."""
+        if not vnorm(self.gradient) < math.inf:
             return False
         if self.hessian is None:
             return not need_hessian

@@ -187,16 +187,10 @@ def sigma_select(state: SolverState, config: OffoConfig) -> float:
     """
     if state.mu1 is None:
         raise ValueError("sigma_select needs mu1 (k >= 1)")
+    mus = (state.mu1,) if state.mu2 is None else (state.mu1, state.mu2)
     lo = config.vartheta * state.nu
-    cands = [state.nu, state.mu1]
-    if state.mu2 is not None:
-        cands.append(state.mu2)
-    hi = max(cands)
-    if config.strict_mode:
-        value = max(lo, state.mu1, *([state.mu2] if state.mu2 is not None else []))
-    else:
-        value = max(lo, state.xi * state.mu1)
-    return min(max(value, lo), max(hi, lo))
+    value = max(lo, *mus) if config.strict_mode else max(lo, state.xi * state.mu1)
+    return min(max(value, lo), max(max(state.nu, *mus), lo))
 
 
 def xi_target_update(state: SolverState, grad_norm_now: float,
@@ -211,8 +205,10 @@ def xi_target_update(state: SolverState, grad_norm_now: float,
     return xi, target
 
 
-def _min_eig(bundle: DerivativeBundle) -> float:
-    return float(np.linalg.eigvalsh(bundle.hessian)[0])
+def _factorize(bundle: DerivativeBundle) -> tuple:
+    """np.linalg.eigh of the Hessian, and its smallest eigenvalue."""
+    eig = np.linalg.eigh(bundle.hessian)
+    return eig, float(eig[0][0])
 
 
 class _Record:
@@ -274,9 +270,6 @@ def _run_offo(problem, config: OffoConfig, *, second_order: bool,
     if not bundle.is_finite(need_hessian=need_hessian):
         return rec.finish(RunStatus.ORACLE_OVERFLOW, x, math.nan, 0)
     gnorm = vnorm(bundle.gradient)
-    # The first-order driver never needs eigenvalues ahead of the subproblem
-    # solve, so lambda_min is tracked per iterate only in the second-order one.
-    min_eig = _min_eig(bundle) if second_order else None
 
     nu0 = config.nu0 if config.nu0 is not None else max(config.varsigma, 6.0 * gnorm)
     state = SolverState(nu=nu0, sigma=nu0)
@@ -287,6 +280,8 @@ def _run_offo(problem, config: OffoConfig, *, second_order: bool,
 
     k = 0
     while True:
+        # One factorization per point feeds the stop test, mu2, the step and the trace.
+        eig, min_eig = _factorize(bundle) if need_hessian else (None, None)
         stop = gnorm <= config.eps1 and (not second_order or min_eig >= -config.eps2)
         if stop or k >= config.max_iter:
             break
@@ -308,7 +303,7 @@ def _run_offo(problem, config: OffoConfig, *, second_order: bool,
         if p == 1:
             step = solve_p1(bundle.gradient, sigma)
         else:
-            step = solve_p2(bundle.gradient, bundle.hessian, sigma)
+            step = solve_p2(bundle.gradient, bundle.hessian, sigma, eig=eig)
         if not certify(step, model, config.theta1,
                        config.theta2 if second_order else None):
             raise CertificateError(
@@ -321,7 +316,7 @@ def _run_offo(problem, config: OffoConfig, *, second_order: bool,
             taylor_grad_norm=step.taylor_grad_norm,
             xi=math.nan if config.strict_mode else state.xi,
             target=math.nan if config.strict_mode else state.target,
-            min_eig=step.taylor_min_curv, fvalue=bundle.fvalue,
+            min_eig=min_eig, fvalue=bundle.fvalue,
         )
         rec.step(step)
 
@@ -336,15 +331,12 @@ def _run_offo(problem, config: OffoConfig, *, second_order: bool,
             return rec.finish(RunStatus.ORACLE_OVERFLOW, x, math.nan, k,
                               math.nan if second_order else None, nu=state.nu)
         gnorm = vnorm(bundle.gradient)
-        min_eig = _min_eig(bundle) if second_order else None
         rec.point(x, bundle)
 
     if stop:
         status = RunStatus.SECOND_ORDER if second_order else RunStatus.FIRST_ORDER
     else:
         status = RunStatus.MAX_ITERATIONS
-    if p == 2 and not second_order:
-        min_eig = _min_eig(bundle)
     return rec.finish(status, x, gnorm, k, min_eig, nu=state.nu,
                       fvalue=bundle.fvalue)
 
@@ -369,6 +361,7 @@ def run_ar2(problem, config: Ar2Config, *, collect_history: bool = False) -> Run
     if not bundle.is_finite(need_hessian=True) or not math.isfinite(bundle.fvalue):
         return rec.finish(RunStatus.ORACLE_OVERFLOW, x, math.nan, 0)
     gnorm = vnorm(bundle.gradient)
+    eig, min_eig = _factorize(bundle)
     sigma = config.sigma0
     rec.point(x, bundle)
 
@@ -376,7 +369,7 @@ def run_ar2(problem, config: Ar2Config, *, collect_history: bool = False) -> Run
     step = step_sigma = None
     while not gnorm <= config.eps1 and k < config.max_iter:
         if step is None or sigma != step_sigma:
-            step = solve_p2(bundle.gradient, bundle.hessian, sigma)
+            step = solve_p2(bundle.gradient, bundle.hessian, sigma, eig=eig)
             step_sigma = sigma
             decrease = taylor_decrease(RegularizedModel(bundle, sigma, 2), step.step)
             if not (step.model_reduction > 0.0 and decrease > 0.0):
@@ -393,20 +386,21 @@ def run_ar2(problem, config: Ar2Config, *, collect_history: bool = False) -> Run
             step_norm=vnorm(step.step),
             model_reduction=step.model_reduction,
             taylor_grad_norm=step.taylor_grad_norm,
-            min_eig=step.taylor_min_curv,
+            min_eig=min_eig,
             fvalue=bundle.fvalue, rho=rho,
             accepted=math.nan if overflow else float(accepted),
         )
         rec.step(step)
         k += 1
         if overflow:
-            return rec.finish(RunStatus.ORACLE_OVERFLOW, x, math.nan, k,
-                              _min_eig(bundle), sigma=sigma)
+            return rec.finish(RunStatus.ORACLE_OVERFLOW, x, math.nan, k, min_eig,
+                              sigma=sigma)
 
         if accepted:
             x = trial_x
             bundle = trial
             gnorm = vnorm(bundle.gradient)
+            eig, min_eig = _factorize(bundle)
             step = None
             if rho >= config.eta2:
                 sigma = max(config.sigma_min, config.gamma2 * sigma)
@@ -415,5 +409,4 @@ def run_ar2(problem, config: Ar2Config, *, collect_history: bool = False) -> Run
             sigma = min(config.gamma1 * sigma, config.gamma3)
 
     status = RunStatus.FIRST_ORDER if gnorm <= config.eps1 else RunStatus.MAX_ITERATIONS
-    return rec.finish(status, x, gnorm, k, _min_eig(bundle), sigma=sigma,
-                      fvalue=bundle.fvalue)
+    return rec.finish(status, x, gnorm, k, min_eig, sigma=sigma, fvalue=bundle.fvalue)

@@ -13,7 +13,8 @@ adds a leftmost eigenvector component whose sign is made deterministic by
 orienting the eigenvector.
 
 Problem dimensions are desk scale (n <= a few dozen), so the dense route is
-both exact and cheap.
+both exact and cheap.  A driver that already holds np.linalg.eigh(H) passes
+it as ``eig``, so each Hessian is factorized once per point.
 """
 
 from __future__ import annotations
@@ -44,7 +45,6 @@ class StepResult:
     multiplier: float
     taylor_grad_norm: float
     model_reduction: float
-    taylor_min_curv: float | None = None
     hard_case: bool = False
 
 
@@ -66,7 +66,6 @@ def solve_p1(g, sigma: float) -> StepResult:
         multiplier=0.0,
         taylor_grad_norm=gnorm,
         model_reduction=gnorm**2 / (2.0 * sigma),
-        taylor_min_curv=None,
         hard_case=False,
     )
 
@@ -124,11 +123,13 @@ def _secular_root(w: Array, ghat2: Array, sigma: float, lam_low: float) -> float
         lam = nxt
 
 
-def solve_p2(g, H, sigma: float) -> StepResult:
+def solve_p2(g, H, sigma: float, *, eig=None) -> StepResult:
     """Global minimizer of g.s + 0.5 s.H.s + sigma/6 ||s||^3.
 
     The multiplier is the root of the secular equation to within a few ulps;
-    OverflowError when ||s|| overflows float64 there.
+    OverflowError when ||s|| overflows float64 there.  Without ``eig`` H is
+    symmetrized and factorized here; ``eig = np.linalg.eigh(H)`` of an exactly
+    symmetric H (a DerivativeBundle's) skips both, bit for bit the same.
     """
     g = np.asarray(g, dtype=float)
     if g.ndim == 0:
@@ -141,8 +142,10 @@ def solve_p2(g, H, sigma: float) -> StepResult:
     if not (sigma > 0.0) or not math.isfinite(sigma):
         raise ValueError(f"sigma must be positive and finite, got {sigma}")
 
-    Hs = 0.5 * (H + H.T)
-    w, Q = np.linalg.eigh(Hs)
+    if eig is None:
+        H = 0.5 * (H + H.T)
+        eig = np.linalg.eigh(H)
+    w, Q = eig
     lam1 = float(w[0])
     ghat = Q.T @ g
     gnorm = vnorm(g)
@@ -172,7 +175,6 @@ def solve_p2(g, H, sigma: float) -> StepResult:
             hard = True
         else:
             lam = _secular_root(w[mask], ghat[mask] ** 2, sigma, lam_low)
-            coef = np.zeros_like(ghat)
             coef[mask] = -ghat[mask] / (w[mask] + lam)
             s = Q @ coef
     else:
@@ -183,7 +185,7 @@ def solve_p2(g, H, sigma: float) -> StepResult:
             f"secular root is not finite (||g|| = {gnorm!r}, sigma = {sigma!r}): "
             "the squared gradient or 2 lam/sigma overflowed float64")
 
-    Hss = Hs @ s
+    Hss = H @ s
     tgrad = g + Hss
     reduction = -(
         float(g @ s)
@@ -195,7 +197,6 @@ def solve_p2(g, H, sigma: float) -> StepResult:
         multiplier=float(lam),
         taylor_grad_norm=vnorm(tgrad),
         model_reduction=reduction,
-        taylor_min_curv=lam1,
         hard_case=hard,
     )
 

@@ -9,7 +9,7 @@ import pytest
 from _checks import check_offo_invariants
 from offar import (Ar2Config, DerivativeBundle, OffoConfig, ProblemMeta,
                    ProblemOracle, RunStatus, get_problem, run_ar2, run_moffar,
-                   run_offar, solve_p2, solvers)
+                   run_offar, run_single, solve_p2, solvers)
 
 
 def quadratic_oracle(A, b, x0, name="quad"):
@@ -153,6 +153,31 @@ class TestOverflow:
         assert len(out.trace) == 1
         assert math.isnan(out.trace.column("grad_norm")[0])
 
+    @pytest.mark.parametrize("algorithm", ["offar2a", "moffar2", "ar2"])
+    @pytest.mark.parametrize("explode_at", [0, 1])
+    def test_gradient_norm_overflow(self, algorithm, explode_at):
+        # Finite entries whose norm overflows: at the start, after one step
+        # (offar2a, moffar2) or on the trial point (ar2).
+        calls = itertools.count()
+
+        def ev(x):
+            g = [1e200, 1e200] if next(calls) >= explode_at else [1.0, 0.5]
+            return DerivativeBundle(np.array(g), np.eye(2), 0.0)
+
+        po = ProblemOracle("huge", 2, np.zeros(2), ev, ProblemMeta())
+        out = run_single(po, algorithm, eps1=1e-6)
+        assert out.status == RunStatus.ORACLE_OVERFLOW
+        assert out.iterations == explode_at
+        assert len(out.trace) == out.iterations + 1
+
+    def test_gradient_norm_overflow_in_noisy_ar2(self):
+        # Noisy gradients grow until a trial gradient's norm overflows float64
+        # while its entries stay finite.
+        out = run_single(get_problem("beale"), "ar2", eps1=1e-3, noise_level=0.5,
+                         seed=19, max_iter=2000)
+        assert out.status == RunStatus.ORACLE_OVERFLOW
+        assert len(out.trace) == out.iterations + 1
+
     def test_nonfinite_fvalue_alone_is_not_overflow(self):
         def ev(x):
             f = math.inf if np.linalg.norm(x) > 0.5 else 1.0
@@ -175,6 +200,38 @@ class TestCertificateErrors:
         po = quadratic_oracle(np.eye(2), np.ones(2), np.zeros(2))
         with pytest.raises(solvers.CertificateError, match="iteration 0"):
             run_ar2(po, Ar2Config(eps1=1e-6))
+
+
+class TestFactorizations:
+    """Each p = 2 point is factorized by one eigh; certify's eigvalsh is the
+    only other eigenvalue call."""
+
+    def run_counted(self, monkeypatch, driver, config):
+        problem = get_problem("rosenbr")  # building the suite calls eigvalsh
+        counts = {"eigh": 0, "eigvalsh": 0}
+        for name in counts:
+            def counting(H, _original=getattr(np.linalg, name), _name=name):
+                counts[_name] += 1
+                return _original(H)
+            monkeypatch.setattr(np.linalg, name, counting)
+        return driver(problem, config), counts
+
+    def test_moffar2(self, monkeypatch):
+        cfg = OffoConfig(degree=2, eps1=1e-6, eps2=1e-6, theta2=2.0)
+        out, counts = self.run_counted(monkeypatch, run_moffar, cfg)
+        assert out.status == RunStatus.SECOND_ORDER
+        assert counts == {"eigh": out.iterations + 1, "eigvalsh": out.iterations}
+
+    def test_offar2a(self, monkeypatch):
+        out, counts = self.run_counted(monkeypatch, run_offar, OffoConfig(degree=2, eps1=1e-6))
+        assert out.status == RunStatus.FIRST_ORDER
+        assert counts == {"eigh": out.iterations + 1, "eigvalsh": 0}
+
+    def test_ar2(self, monkeypatch):
+        out, counts = self.run_counted(monkeypatch, run_ar2, Ar2Config(eps1=1e-6))
+        accepted = int(out.trace.column("accepted")[:-1].sum())
+        assert 0 < accepted < out.iterations
+        assert counts == {"eigh": 1 + accepted, "eigvalsh": 0}
 
 
 class TestMoffar:
@@ -246,9 +303,9 @@ class TestAr2:
         # distinct (x, sigma), however many iterations revisit it.
         calls = []
 
-        def counting_solve_p2(g, H, sigma):
+        def counting_solve_p2(g, H, sigma, **kwargs):
             calls.append((g.tobytes(), sigma))
-            return solve_p2(g, H, sigma)
+            return solve_p2(g, H, sigma, **kwargs)
 
         monkeypatch.setattr(solvers, "solve_p2", counting_solve_p2)
         evals = itertools.count()

@@ -67,6 +67,9 @@ class TestDerivativeBundle:
         b4 = DerivativeBundle(np.ones(2), np.array([[1.0, np.nan], [np.nan, 1.0]]))
         assert not b4.is_finite(need_hessian=False)
         assert not b4.is_finite(need_hessian=True)
+        b5 = DerivativeBundle(np.array([1e200, 1e200]))  # finite entries, norm overflows
+        assert not b5.is_finite(need_hessian=False)
+        assert not DerivativeBundle(np.array([1.0, np.nan])).is_finite()
 
 
 class TestRegularizedModel:

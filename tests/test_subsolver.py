@@ -8,6 +8,7 @@ the model or its multiplier equation.
 """
 
 import math
+from dataclasses import fields
 from fractions import Fraction
 
 import numpy as np
@@ -266,19 +267,39 @@ def near_secular_root(w, ghat2, sigma, lam):
             and not _longer(w, ghat2, sigma, _ulps_away(lam, 4)))
 
 
+def seeded_batch():
+    """The 5,000 seeded (w, ghat, sigma) inputs of the reference checks."""
+    rng = np.random.default_rng(20260)
+    for _ in range(5000):
+        w, ghat = secular_inputs(rng, int(rng.integers(1, 13)))
+        yield w, ghat, float(10.0 ** rng.uniform(-4.0, 12.0))
+
+
 class TestSecularRootReference:
     """Every multiplier lies within 4 ulps of the root, checked in exact arithmetic."""
 
     def test_seeded_batch(self):
-        rng = np.random.default_rng(20260)
         misses = []
-        for i in range(5000):
-            w, ghat = secular_inputs(rng, int(rng.integers(1, 13)))
-            sigma = float(10.0 ** rng.uniform(-4.0, 12.0))
+        for i, (w, ghat, sigma) in enumerate(seeded_batch()):
             lam = _secular_root(w, ghat**2, sigma, max(0.0, -float(w[0])))
             if not near_secular_root(w, ghat**2, sigma, lam):
                 misses.append((i, lam))
         assert misses == []
+
+    def test_given_eigendecomposition_changes_no_bit(self):
+        # A rotated, exactly symmetric H: solve_p2 with the caller's eigh
+        # must return what it computes on its own, field by field.
+        rng = np.random.default_rng(7)
+        for w, ghat, sigma in seeded_batch():
+            Q, _ = np.linalg.qr(rng.standard_normal((w.size, w.size)))
+            H = (Q * w) @ Q.T
+            H = 0.5 * (H + H.T)
+            g = Q @ ghat
+            own = solve_p2(g, H, sigma)
+            given = solve_p2(g, H, sigma, eig=np.linalg.eigh(H))
+            for f in fields(StepResult):
+                a, b = getattr(own, f.name), getattr(given, f.name)
+                assert np.asarray(a).tobytes() == np.asarray(b).tobytes(), f.name
 
     def test_masked_hard_case_calls(self):
         # The call solve_p2 makes when g is orthogonal to the leftmost
