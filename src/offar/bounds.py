@@ -14,7 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["BoundReport", "theory_bounds", "bounds_for_problem"]
+from .solvers import practical_nu0
+
+__all__ = ["BoundReport", "theory_bounds", "bounds_for_problem", "problem_constants"]
 
 
 def _ceil_snapped(t: float) -> int:
@@ -189,31 +191,25 @@ def theory_bounds(
     return report
 
 
-def bounds_for_problem(oracle, config, *, allow_partial: bool = True) -> BoundReport:
-    """Convenience wrapper pulling constants from an oracle and a config.
-
-    sigma0 is taken as the nu0 the run would use (explicit, or the practical
-    rule from the start gradient).
-    """
-    bundle = oracle.evaluate(oracle.x0)
-    g0 = float(np.linalg.norm(bundle.gradient))
-    p = config.degree
+def problem_constants(oracle, p: int) -> dict:
+    """L, kappa_high, g0_norm, f0 and f_low of an oracle, as theory_bounds takes them."""
     L = oracle.meta.lipschitz.get(p)
     if L is None:
         raise ValueError(f"{oracle.name} declares no Lipschitz constant for degree {p}")
-    sigma0 = config.nu0 if config.nu0 is not None else max(config.varsigma, 6.0 * g0)
-    return theory_bounds(
-        p,
-        config.eps1,
-        L=L,
-        sigma0=sigma0,
-        theta1=config.theta1,
-        vartheta=config.vartheta,
-        kappa_high=oracle.meta.kappa_high if oracle.meta.kappa_high is not None else 0.0,
-        g0_norm=g0,
-        f0=bundle.fvalue,
-        f_low=oracle.meta.f_low,
-        theta2=config.theta2,
-        eps2=config.eps2,
-        allow_partial=allow_partial,
-    )
+    bundle = oracle.evaluate(oracle.x0)
+    return dict(L=L, kappa_high=oracle.meta.kappa_high or 0.0,
+                g0_norm=float(np.linalg.norm(bundle.gradient)), f0=bundle.fvalue,
+                f_low=oracle.meta.f_low)
+
+
+def bounds_for_problem(oracle, config) -> BoundReport:
+    """Convenience wrapper pulling constants from an oracle and a config.
+
+    sigma0 is taken as the nu0 the run would use (explicit, or the practical
+    rule from the start gradient).  Absent metadata gives a partial report.
+    """
+    constants = problem_constants(oracle, config.degree)
+    sigma0 = config.nu0 if config.nu0 is not None else practical_nu0(constants["g0_norm"])
+    return theory_bounds(config.degree, config.eps1, sigma0=sigma0, theta1=config.theta1,
+                         vartheta=config.vartheta, theta2=config.theta2, eps2=config.eps2,
+                         allow_partial=True, **constants)

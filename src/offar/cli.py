@@ -9,10 +9,8 @@ from __future__ import annotations
 import argparse
 import sys
 
-import numpy as np
-
 from . import harness
-from .bounds import theory_bounds
+from .bounds import problem_constants, theory_bounds
 from .problems import SUITE_NAMES, get_problem, make_suite
 from .solvers import RunStatus
 from .worstcase import gen_first_order, gen_second_order, run_divergence
@@ -178,27 +176,16 @@ def _cmd_worstcase(args) -> int:
 
 def _cmd_bounds(args) -> int:
     if args.problem is not None:
-        oracle = get_problem(args.problem)
-        L = oracle.meta.lipschitz.get(args.p)
-        if L is None:
-            raise _UsageError(
-                f"{args.problem} declares no Lipschitz constant for degree {args.p}")
-        bundle = oracle.evaluate(oracle.x0)
-        g0 = float(np.linalg.norm(bundle.gradient))
-        report = theory_bounds(
-            args.p, args.eps1, L=L, sigma0=args.sigma0, theta1=args.theta1,
-            vartheta=args.vartheta,
-            kappa_high=oracle.meta.kappa_high or 0.0,
-            g0_norm=g0, f0=bundle.fvalue, f_low=oracle.meta.f_low,
-            theta2=args.theta2, eps2=args.eps2, allow_partial=True)
+        constants = problem_constants(get_problem(args.problem), args.p)
+    elif args.L is None:
+        raise _UsageError("--L is required without --problem")
     else:
-        if args.L is None:
-            raise _UsageError("--L is required without --problem")
-        report = theory_bounds(
-            args.p, args.eps1, L=args.L, sigma0=args.sigma0, theta1=args.theta1,
-            vartheta=args.vartheta, kappa_high=args.kappa_high,
-            g0_norm=args.g0_norm, f0=args.f0, f_low=args.f_low,
-            theta2=args.theta2, eps2=args.eps2, allow_partial=True)
+        constants = dict(L=args.L, kappa_high=args.kappa_high, g0_norm=args.g0_norm,
+                         f0=args.f0, f_low=args.f_low)
+    report = theory_bounds(
+        args.p, args.eps1, sigma0=args.sigma0, theta1=args.theta1,
+        vartheta=args.vartheta, theta2=args.theta2, eps2=args.eps2,
+        allow_partial=True, **constants)
     print(f"k_star={report.k_star} k_star_raw={report.k_star_raw!r}")
     print(f"eta={report.eta!r} kappa1={report.kappa1!r}")
     if report.bound_first_order is not None:

@@ -65,14 +65,12 @@ class DerivativeBundle:
     def n(self) -> int:
         return self.gradient.size
 
-    def is_finite(self, *, need_hessian: bool = False) -> bool:
-        """Finiteness of the derivative data, the gradient's norm included (finite
-        entries can still overflow it); fvalue is not consulted."""
+    def is_finite(self) -> bool:
+        """Finiteness of the derivatives present, the gradient's norm included
+        (finite entries can still overflow it); fvalue is not consulted."""
         if not vnorm(self.gradient) < math.inf:
             return False
-        if self.hessian is None:
-            return not need_hessian
-        return bool(np.isfinite(self.hessian).all())
+        return self.hessian is None or bool(np.isfinite(self.hessian).all())
 
 
 @dataclass

@@ -578,9 +578,12 @@ class DerivativeCheckReport:
     violations: list
 
 
-def validate_derivatives(oracle: ProblemOracle, points, *,
-                         grad_tol: float = 1e-5,
-                         hess_tol: float = 1e-4) -> DerivativeCheckReport:
+# Largest relative finite-difference errors validate_derivatives accepts.
+_GRAD_TOL = 1e-5
+_HESS_TOL = 1e-4
+
+
+def validate_derivatives(oracle: ProblemOracle, points) -> DerivativeCheckReport:
     """Cross-check analytic derivatives against central finite differences.
 
     Gradient errors are measured relative to max(1, max|g|), Hessian errors
@@ -606,13 +609,13 @@ def validate_derivatives(oracle: ProblemOracle, points, *,
             fd_H[:, j] = (plus.gradient - minus.gradient) / (2.0 * h)
         gerr = np.abs(fd_g - ref.gradient) / gscale
         worst_g = max(worst_g, float(np.max(gerr)))
-        for j in np.flatnonzero(gerr > grad_tol):
+        for j in np.flatnonzero(gerr > _GRAD_TOL):
             violations.append((idx, "gradient", (int(j),), float(gerr[j])))
         if ref.hessian is not None:
             hscale = max(1.0, float(np.max(np.abs(ref.hessian))))
             herr = np.abs(fd_H - ref.hessian) / hscale
             worst_h = max(worst_h, float(np.max(herr)))
-            for a, b in zip(*np.nonzero(herr > hess_tol)):
+            for a, b in zip(*np.nonzero(herr > _HESS_TOL)):
                 violations.append((idx, "hessian", (int(a), int(b)), float(herr[a, b])))
     return DerivativeCheckReport(
         ok=not violations,

@@ -6,7 +6,7 @@ norms and step norms through the mu1/nu recursions.  run_moffar adds the
 curvature channel (mu2, smallest Hessian eigenvalue) and stops at approximate
 second-order points.  Both support a strict mode (sigma_k = max of the lower
 bound and the mu estimates, nu0 user supplied) and a practical mode (the
-xi/target relaxation, nu0 = max[varsigma, 6||g0||]).  The same rule runs
+xi/target relaxation, nu0 from practical_nu0).  The same rule runs
 on clean and noisy oracles.
 
 run_ar2 is the classical function-value-based adaptive regularization
@@ -53,9 +53,8 @@ class OffoConfig:
 
     theta1 > 1 and theta2 > 1 control the step acceptance certificates,
     vartheta in (0, 1] the lower regularization fence, beta in (0, 1] the
-    target decay exponent of the practical mode, varsigma > 0 the tiny
-    positive floor.  nu0 = None means the practical rule
-    max[varsigma, 6 ||g0||]; strict mode requires an explicit nu0.
+    target decay exponent of the practical mode.  nu0 = None means the
+    practical rule of practical_nu0; strict mode requires an explicit nu0.
     """
 
     degree: int = 2
@@ -65,7 +64,6 @@ class OffoConfig:
     eps1: float = 1e-6
     eps2: float | None = None
     beta: float = 1.0
-    varsigma: float = 1e-6
     max_iter: int = 50000
     strict_mode: bool = False
     nu0: float | None = None
@@ -85,12 +83,30 @@ class OffoConfig:
             raise ValueError(f"eps2 must lie in (0, 1], got {self.eps2}")
         if not 0.0 < self.beta <= 1.0:
             raise ValueError(f"beta must lie in (0, 1], got {self.beta}")
-        if not self.varsigma > 0.0:
-            raise ValueError(f"varsigma must be positive, got {self.varsigma}")
         if self.max_iter < 0:
             raise ValueError(f"max_iter must be nonnegative, got {self.max_iter}")
         if self.nu0 is not None and not self.nu0 > 0.0:
             raise ValueError(f"nu0 must be positive, got {self.nu0}")
+
+
+# The practical nu0 never falls below this floor.
+_VARSIGMA = 1e-6
+
+
+def practical_nu0(g0_norm: float) -> float:
+    """The practical initial weight max[varsigma, 6 ||g0||]."""
+    return max(_VARSIGMA, 6.0 * g0_norm)
+
+
+# AR2's accept/reject constants (Cartis, Gould & Toint 2011, ARC Part I): a
+# trial is accepted at rho >= _ETA1; at rho >= _ETA2 sigma shrinks by _GAMMA2,
+# not below _SIGMA_MIN; a rejection grows it by _GAMMA1, up to _GAMMA3.
+_ETA1 = 1e-4
+_ETA2 = 0.95
+_GAMMA1 = 2.0
+_GAMMA2 = 0.5
+_GAMMA3 = 1e20
+_SIGMA_MIN = 1e-4
 
 
 @dataclass
@@ -99,23 +115,13 @@ class Ar2Config:
 
     eps1: float = 1e-6
     sigma0: float = 1.0
-    eta1: float = 1e-4
-    eta2: float = 0.95
-    gamma1: float = 2.0
-    gamma2: float = 0.5
-    gamma3: float = 1e20
-    sigma_min: float = 1e-4
     max_iter: int = 50000
 
     def __post_init__(self):
         if not 0.0 < self.eps1 <= 1.0:
             raise ValueError(f"eps1 must lie in (0, 1], got {self.eps1}")
-        if not self.sigma0 >= self.sigma_min:
-            raise ValueError("sigma0 must be at least sigma_min")
-        if not 0.0 < self.eta1 <= self.eta2 < 1.0:
-            raise ValueError("need 0 < eta1 <= eta2 < 1")
-        if not (self.gamma1 > 1.0 and 0.0 < self.gamma2 < 1.0 and self.gamma3 >= self.gamma1):
-            raise ValueError("need gamma1 > 1, 0 < gamma2 < 1, gamma3 >= gamma1")
+        if not self.sigma0 >= _SIGMA_MIN:
+            raise ValueError(f"sigma0 must be at least {_SIGMA_MIN}, got {self.sigma0}")
         if self.max_iter < 0:
             raise ValueError(f"max_iter must be nonnegative, got {self.max_iter}")
 
@@ -254,10 +260,12 @@ def run_moffar(problem, config: OffoConfig, *, collect_history: bool = False) ->
     return _run_offo(problem, config, second_order=True, collect_history=collect_history)
 
 
+# Overflow ends a run as OracleOverflow; numpy's warnings about it, such as a
+# gradient norm beyond float64, would only repeat the status.
+@np.errstate(over="ignore")
 def _run_offo(problem, config: OffoConfig, *, second_order: bool,
               collect_history: bool) -> RunOutcome:
     p = config.degree
-    need_hessian = p == 2
     algorithm = ("moffar" if second_order else "offar") + str(p)
     rec = _Record(problem, algorithm, config, collect_history)
     trace = rec.trace
@@ -267,11 +275,13 @@ def _run_offo(problem, config: OffoConfig, *, second_order: bool,
 
     x = np.array(problem.x0, dtype=float)
     bundle = problem.evaluate(x)
-    if not bundle.is_finite(need_hessian=need_hessian):
+    if p == 2 and bundle.hessian is None:
+        raise ValueError(f"{algorithm} needs Hessians")
+    if not bundle.is_finite():
         return rec.finish(RunStatus.ORACLE_OVERFLOW, x, math.nan, 0)
     gnorm = vnorm(bundle.gradient)
 
-    nu0 = config.nu0 if config.nu0 is not None else max(config.varsigma, 6.0 * gnorm)
+    nu0 = config.nu0 if config.nu0 is not None else practical_nu0(gnorm)
     state = SolverState(nu=nu0, sigma=nu0)
     state.target = 0.9 * gnorm**config.beta
     gnorm_prev = gnorm
@@ -281,7 +291,7 @@ def _run_offo(problem, config: OffoConfig, *, second_order: bool,
     k = 0
     while True:
         # One factorization per point feeds the stop test, mu2, the step and the trace.
-        eig, min_eig = _factorize(bundle) if need_hessian else (None, None)
+        eig, min_eig = _factorize(bundle) if p == 2 else (None, None)
         stop = gnorm <= config.eps1 and (not second_order or min_eig >= -config.eps2)
         if stop or k >= config.max_iter:
             break
@@ -327,9 +337,8 @@ def _run_offo(problem, config: OffoConfig, *, second_order: bool,
         k += 1
 
         bundle = problem.evaluate(x)
-        if not bundle.is_finite(need_hessian=need_hessian):
-            return rec.finish(RunStatus.ORACLE_OVERFLOW, x, math.nan, k,
-                              math.nan if second_order else None, nu=state.nu)
+        if not bundle.is_finite():
+            return rec.finish(RunStatus.ORACLE_OVERFLOW, x, math.nan, k, nu=state.nu)
         gnorm = vnorm(bundle.gradient)
         rec.point(x, bundle)
 
@@ -341,6 +350,7 @@ def _run_offo(problem, config: OffoConfig, *, second_order: bool,
                       fvalue=bundle.fvalue)
 
 
+@np.errstate(over="ignore")  # as in _run_offo
 def run_ar2(problem, config: Ar2Config, *, collect_history: bool = False) -> RunOutcome:
     """Function-value-based baseline with the standard accept/reject loop.
 
@@ -348,7 +358,7 @@ def run_ar2(problem, config: Ar2Config, *, collect_history: bool = False) -> Run
     evaluation); the trace records the ratio rho and the accept flag per
     iteration.  The step, its Taylor decrease and the trial point depend
     only on (x, sigma) and are recomputed only when either changed: at the
-    gamma3 cap a rejection changes neither, so the next iteration reuses the
+    _GAMMA3 cap a rejection changes neither, so the next iteration reuses the
     previous solve exactly and repeats only the (noisy) trial evaluation.
     """
     rec = _Record(problem, "ar2", config, collect_history)
@@ -358,7 +368,7 @@ def run_ar2(problem, config: Ar2Config, *, collect_history: bool = False) -> Run
     bundle = problem.evaluate(x)
     if bundle.fvalue is None or bundle.hessian is None:
         raise ValueError("ar2 needs function values and Hessians")
-    if not bundle.is_finite(need_hessian=True) or not math.isfinite(bundle.fvalue):
+    if not bundle.is_finite() or not math.isfinite(bundle.fvalue):
         return rec.finish(RunStatus.ORACLE_OVERFLOW, x, math.nan, 0)
     gnorm = vnorm(bundle.gradient)
     eig, min_eig = _factorize(bundle)
@@ -377,9 +387,9 @@ def run_ar2(problem, config: Ar2Config, *, collect_history: bool = False) -> Run
             trial_x = x + step.step
         trial = problem.evaluate(trial_x)
         overflow = (trial.fvalue is None or not math.isfinite(trial.fvalue)
-                    or not trial.is_finite(need_hessian=True))
+                    or not trial.is_finite())
         rho = math.nan if overflow else (bundle.fvalue - trial.fvalue) / decrease
-        accepted = rho >= config.eta1
+        accepted = rho >= _ETA1
 
         trace.append(
             k=k, grad_norm=gnorm, sigma=sigma,
@@ -402,11 +412,11 @@ def run_ar2(problem, config: Ar2Config, *, collect_history: bool = False) -> Run
             gnorm = vnorm(bundle.gradient)
             eig, min_eig = _factorize(bundle)
             step = None
-            if rho >= config.eta2:
-                sigma = max(config.sigma_min, config.gamma2 * sigma)
+            if rho >= _ETA2:
+                sigma = max(_SIGMA_MIN, _GAMMA2 * sigma)
             rec.point(x, bundle)
         else:
-            sigma = min(config.gamma1 * sigma, config.gamma3)
+            sigma = min(_GAMMA1 * sigma, _GAMMA3)
 
     status = RunStatus.FIRST_ORDER if gnorm <= config.eps1 else RunStatus.MAX_ITERATIONS
     return rec.finish(status, x, gnorm, k, min_eig, sigma=sigma, fvalue=bundle.fvalue)

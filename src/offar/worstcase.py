@@ -182,7 +182,11 @@ def scripted_oracle(seq: SlowSequence, *, degree: int) -> ProblemOracle:
     )
 
 
-def replay_first_order(seq: SlowSequence, *, theta1: float = 2.0) -> RunOutcome:
+# theta1 and theta2 of the replays' certificates.
+_REPLAY_THETA = 2.0
+
+
+def replay_first_order(seq: SlowSequence) -> RunOutcome:
     """Run the first-order driver against the scripted sequence.
 
     Strict mode with vartheta = 1 and nu0 = sigma0 makes the driver's weight
@@ -195,14 +199,13 @@ def replay_first_order(seq: SlowSequence, *, theta1: float = 2.0) -> RunOutcome:
         raise ValueError("the drivers implement p in {1, 2}")
     oracle = scripted_oracle(seq, degree=seq.p)
     config = OffoConfig(
-        degree=seq.p, theta1=theta1, vartheta=1.0, eps1=seq.eps,
+        degree=seq.p, theta1=_REPLAY_THETA, vartheta=1.0, eps1=seq.eps,
         strict_mode=True, nu0=seq.sigma0, max_iter=seq.k_eps + 10,
     )
     return run_offar(oracle, config)
 
 
-def replay_second_order(seq: SlowSequence, *, theta1: float = 2.0,
-                        theta2: float = 2.0) -> RunOutcome:
+def replay_second_order(seq: SlowSequence) -> RunOutcome:
     """Run the second-order driver against the scripted curvature sequence."""
     if seq.order != 2:
         raise ValueError("need a second-order sequence")
@@ -210,7 +213,7 @@ def replay_second_order(seq: SlowSequence, *, theta1: float = 2.0,
         raise ValueError("the drivers implement p = 2")
     oracle = scripted_oracle(seq, degree=2)
     config = OffoConfig(
-        degree=2, theta1=theta1, theta2=theta2, vartheta=1.0,
+        degree=2, theta1=_REPLAY_THETA, theta2=_REPLAY_THETA, vartheta=1.0,
         eps1=1.0, eps2=seq.eps, strict_mode=True, nu0=seq.sigma0,
         max_iter=seq.k_eps + 10,
     )

@@ -20,6 +20,7 @@ from offar import (DerivativeBundle, OffoConfig, ProblemMeta, ProblemOracle,
                    RunStatus, SUITE_NAMES, compute_profile, get_problem,
                    run_bench, run_moffar, run_offar, run_single, solve_p2)
 from offar.bounds import theory_bounds
+from offar.solvers import practical_nu0
 from offar.worstcase import (gen_first_order, gen_second_order,
                              replay_first_order, replay_second_order,
                              run_divergence)
@@ -87,7 +88,7 @@ def test_04_strict_invariants_on_suite():
             po = get_problem(name)
             g0 = float(np.linalg.norm(po.evaluate(po.x0).gradient))
             cfg = OffoConfig(degree=2, eps1=1e-6, strict_mode=True,
-                             nu0=max(1e-6, 6.0 * g0), max_iter=5000)
+                             nu0=practical_nu0(g0), max_iter=5000)
             out = run_offar(po, cfg, collect_history=True)
             violations = check_offo_invariants(out, cfg, po)
             assert violations == [], (name, violations[:3])

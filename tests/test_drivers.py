@@ -74,6 +74,13 @@ class TestOffarConvergence:
         with pytest.raises(ValueError):
             run_offar(po, OffoConfig(degree=2, strict_mode=True))
 
+    @pytest.mark.parametrize("algorithm", ["offar2a", "moffar2"])
+    def test_degree2_needs_hessians(self, algorithm):
+        po = ProblemOracle("nohess", 2, np.ones(2), lambda x: DerivativeBundle(x.copy()),
+                           ProblemMeta())
+        with pytest.raises(ValueError, match="needs Hessians"):
+            run_single(po, algorithm, eps1=1e-6)
+
     def test_history_lengths(self):
         po = quadratic_oracle(np.diag([1.0, 4.0]), np.ones(2), np.zeros(2))
         out = run_offar(po, OffoConfig(degree=2, eps1=1e-8), collect_history=True)
@@ -93,7 +100,7 @@ class TestInvariants:
         po = get_problem(name)
         g0 = float(np.linalg.norm(po.evaluate(po.x0).gradient))
         cfg = OffoConfig(degree=2, eps1=1e-6, strict_mode=True,
-                         nu0=max(1e-6, 6.0 * g0), max_iter=5000)
+                         nu0=solvers.practical_nu0(g0), max_iter=5000)
         out = run_offar(po, cfg, collect_history=True)
         assert check_offo_invariants(out, cfg, po) == []
 
@@ -120,6 +127,7 @@ class TestDeterminism:
         assert a.trace.config_hash != b.trace.config_hash
 
 
+@pytest.mark.filterwarnings("error")  # the status reports an overflow, not a warning
 class TestOverflow:
     def oracle_exploding(self, explode_at):
         calls = {"n": 0}
@@ -153,11 +161,11 @@ class TestOverflow:
         assert len(out.trace) == 1
         assert math.isnan(out.trace.column("grad_norm")[0])
 
-    @pytest.mark.parametrize("algorithm", ["offar2a", "moffar2", "ar2"])
+    @pytest.mark.parametrize("algorithm", ["offar2a", "offar2b", "moffar2", "ar2"])
     @pytest.mark.parametrize("explode_at", [0, 1])
     def test_gradient_norm_overflow(self, algorithm, explode_at):
         # Finite entries whose norm overflows: at the start, after one step
-        # (offar2a, moffar2) or on the trial point (ar2).
+        # (offar2a, offar2b, moffar2) or on the trial point (ar2).
         calls = itertools.count()
 
         def ev(x):
@@ -169,6 +177,8 @@ class TestOverflow:
         assert out.status == RunStatus.ORACLE_OVERFLOW
         assert out.iterations == explode_at
         assert len(out.trace) == out.iterations + 1
+        if algorithm != "ar2":  # ar2 keeps the accepted point's curvature
+            assert out.final_min_eig is None
 
     def test_gradient_norm_overflow_in_noisy_ar2(self):
         # Noisy gradients grow until a trial gradient's norm overflows float64

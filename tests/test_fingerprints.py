@@ -2,8 +2,10 @@
 
 Each entry of data/fingerprints.json holds the status, the iteration count
 and the SHA-256 of the trace CSV of one run_single call.  A change that is
-not meant to alter the numerics must leave every entry as it is; a change
-that is meant to regenerates the file with
+not meant to alter the numerics must leave every entry as it is, unless it
+adds, removes or renames a config field: the CSV's "# config=" line hashes
+the config's fields, so every hash moves while status and iterations stay.
+Such a change, or one meant to alter the numerics, regenerates the file with
 
     PYTHONPATH=src python tests/test_fingerprints.py
 

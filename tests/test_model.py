@@ -57,18 +57,14 @@ class TestDerivativeBundle:
             DerivativeBundle(np.zeros(3), np.eye(2))
 
     def test_is_finite_flags(self):
-        b = DerivativeBundle(np.array([1.0, np.inf]))
-        assert not b.is_finite(need_hessian=False)
+        assert not DerivativeBundle(np.array([1.0, np.inf])).is_finite()
         b2 = DerivativeBundle(np.ones(2), np.eye(2), fvalue=np.nan)
-        assert b2.is_finite(need_hessian=True)  # fvalue is diagnostic only
-        b3 = DerivativeBundle(np.ones(2))
-        assert b3.is_finite(need_hessian=False)
-        assert not b3.is_finite(need_hessian=True)
+        assert b2.is_finite()  # fvalue is diagnostic only
+        assert DerivativeBundle(np.ones(2)).is_finite()  # a missing Hessian is not checked
         b4 = DerivativeBundle(np.ones(2), np.array([[1.0, np.nan], [np.nan, 1.0]]))
-        assert not b4.is_finite(need_hessian=False)
-        assert not b4.is_finite(need_hessian=True)
-        b5 = DerivativeBundle(np.array([1e200, 1e200]))  # finite entries, norm overflows
-        assert not b5.is_finite(need_hessian=False)
+        assert not b4.is_finite()
+        with np.errstate(over="ignore"):  # finite entries, norm overflows
+            assert not DerivativeBundle(np.array([1e200, 1e200])).is_finite()
         assert not DerivativeBundle(np.array([1.0, np.nan])).is_finite()
 
 

