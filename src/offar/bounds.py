@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .solvers import practical_nu0
+from .solvers import _THETA1, _THETA2, practical_nu0
 
 __all__ = ["BoundReport", "theory_bounds", "bounds_for_problem", "problem_constants"]
 
@@ -206,10 +206,13 @@ def bounds_for_problem(oracle, config) -> BoundReport:
     """Convenience wrapper pulling constants from an oracle and a config.
 
     sigma0 is taken as the nu0 the run would use (explicit, or the practical
-    rule from the start gradient).  Absent metadata gives a partial report.
+    rule from the start gradient), and theta1, theta2 as the drivers' constants;
+    a config with eps2 also gets the second-order bound.  Absent metadata
+    gives a partial report.
     """
     constants = problem_constants(oracle, config.degree)
     sigma0 = config.nu0 if config.nu0 is not None else practical_nu0(constants["g0_norm"])
-    return theory_bounds(config.degree, config.eps1, sigma0=sigma0, theta1=config.theta1,
-                         vartheta=config.vartheta, theta2=config.theta2, eps2=config.eps2,
-                         allow_partial=True, **constants)
+    return theory_bounds(config.degree, config.eps1, sigma0=sigma0, theta1=_THETA1,
+                         vartheta=config.vartheta,
+                         theta2=_THETA2 if config.eps2 is not None else None,
+                         eps2=config.eps2, allow_partial=True, **constants)

@@ -28,19 +28,15 @@ EPS_NOISY = 1e-3
 SUCCESS = (RunStatus.FIRST_ORDER, RunStatus.SECOND_ORDER)
 
 
-def _offo_config(algorithm: str, *, eps1, eps2, max_iter, strict, nu0,
-                 vartheta) -> OffoConfig:
+def _offo_config(algorithm: str, *, eps1, eps2, max_iter, strict, nu0) -> OffoConfig:
     degree = 1 if algorithm == "offar1" else 2
     beta = 2.0 / 3.0 if algorithm == "offar2b" else 1.0
-    if algorithm == "moffar2":
-        theta2 = 2.0
-        if eps2 is None:
-            eps2 = eps1
-    else:
-        theta2 = eps2 = None
+    if algorithm != "moffar2":
+        eps2 = None
+    elif eps2 is None:
+        eps2 = eps1
     return OffoConfig(
-        degree=degree, theta2=theta2, vartheta=vartheta,
-        eps1=eps1, eps2=eps2, beta=beta, max_iter=max_iter,
+        degree=degree, eps1=eps1, eps2=eps2, beta=beta, max_iter=max_iter,
         strict_mode=strict, nu0=nu0,
     )
 
@@ -57,7 +53,6 @@ def run_single(
     strict: bool = False,
     nu0: float | None = None,
     sigma0: float = 1.0,
-    vartheta: float = 1e-3,
 ) -> RunOutcome:
     """Run one algorithm on one problem, optionally under noise."""
     if algorithm not in ALGORITHMS:
@@ -74,7 +69,7 @@ def run_single(
     else:
         config = _offo_config(
             algorithm, eps1=eps1, eps2=eps2, max_iter=max_iter, strict=strict,
-            nu0=nu0, vartheta=vartheta,
+            nu0=nu0,
         )
         runner = run_moffar if algorithm == "moffar2" else run_offar
         outcome = runner(problem, config)

@@ -69,8 +69,7 @@ def _bundle(fn):
         last_key, bundle = last
         if key == last_key:
             return bundle
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            f, g, H = fn(x)
+        f, g, H = fn(x)
         bundle = DerivativeBundle(gradient=g, hessian=H, fvalue=f)
         bundle.gradient.setflags(write=False)
         bundle.hessian.setflags(write=False)
@@ -126,7 +125,8 @@ def _beale(x):
     f = float(np.sum(r**2))
     g = 2.0 * np.array([np.sum(r * dr1), np.sum(r * dr2)])
     d12 = j * x[1] ** (j - 1.0)
-    d22 = x[0] * j * (j - 1.0) * x[1] ** (j - 2.0)
+    # The j = 1 term is 0 * x2^-1; the exponent max(j-2, 0) keeps it 0 at x2 = 0.
+    d22 = x[0] * j * (j - 1.0) * x[1] ** np.maximum(j - 2.0, 0.0)
     H = np.zeros((2, 2))
     H[0, 0] = 2.0 * np.sum(dr1 * dr1)
     H[0, 1] = H[1, 0] = 2.0 * np.sum(dr1 * dr2 + r * d12)
@@ -607,15 +607,17 @@ def validate_derivatives(oracle: ProblemOracle, points) -> DerivativeCheckReport
             minus = oracle.evaluate(x - e)
             fd_g[j] = (plus.fvalue - minus.fvalue) / (2.0 * h)
             fd_H[:, j] = (plus.gradient - minus.gradient) / (2.0 * h)
+        # A NaN error compares False both ways: ~(err <= tol) counts it, and
+        # np.maximum keeps it in the reported worst error.
         gerr = np.abs(fd_g - ref.gradient) / gscale
-        worst_g = max(worst_g, float(np.max(gerr)))
-        for j in np.flatnonzero(gerr > _GRAD_TOL):
+        worst_g = float(np.maximum(worst_g, np.max(gerr)))
+        for j in np.flatnonzero(~(gerr <= _GRAD_TOL)):
             violations.append((idx, "gradient", (int(j),), float(gerr[j])))
         if ref.hessian is not None:
             hscale = max(1.0, float(np.max(np.abs(ref.hessian))))
             herr = np.abs(fd_H - ref.hessian) / hscale
-            worst_h = max(worst_h, float(np.max(herr)))
-            for a, b in zip(*np.nonzero(herr > _HESS_TOL)):
+            worst_h = float(np.maximum(worst_h, np.max(herr)))
+            for a, b in zip(*np.nonzero(~(herr <= _HESS_TOL))):
                 violations.append((idx, "hessian", (int(a), int(b)), float(herr[a, b])))
     return DerivativeCheckReport(
         ok=not violations,

@@ -30,8 +30,7 @@ class ProfileTable:
     curves: dict        # algorithm -> array of (tau, value) breakpoints
 
 
-def compute_profile(costs, problems=None, algorithms=None,
-                    tau_max: float = TAU_MAX) -> ProfileTable:
+def compute_profile(costs, problems=None, algorithms=None) -> ProfileTable:
     """Build the profile table from a cost matrix.
 
     costs may be a list of rows or an ndarray; entries must be positive or
@@ -64,7 +63,7 @@ def compute_profile(costs, problems=None, algorithms=None,
         col = ratios[:, j] if n_base else np.empty(0)
         rho[name] = 100.0 * float(np.mean(np.isfinite(c[:, j]))) if n_prob else 0.0
         finite = np.sort(col[np.isfinite(col)])
-        taus = np.unique(np.concatenate(([1.0], finite[finite <= tau_max], [tau_max])))
+        taus = np.unique(np.concatenate(([1.0], finite[finite <= TAU_MAX], [TAU_MAX])))
         vals = (np.searchsorted(finite, taus, side="right") / n_base
                 if n_base else np.zeros_like(taus))
         curves[name] = np.column_stack([taus, vals])
@@ -73,7 +72,7 @@ def compute_profile(costs, problems=None, algorithms=None,
         area = v[0]
         for i in range(len(t) - 1):
             area += v[i] * (t[i + 1] - t[i])
-        pi[name] = area / tau_max
+        pi[name] = area / TAU_MAX
 
     return ProfileTable(problems=problems, algorithms=algorithms, costs=c,
                         ratios=ratios, pi=pi, rho=rho, curves=curves)

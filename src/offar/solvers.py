@@ -51,15 +51,14 @@ def _config_hash(config) -> str:
 class OffoConfig:
     """Parameters of the derivative-only drivers.
 
-    theta1 > 1 and theta2 > 1 control the step acceptance certificates,
-    vartheta in (0, 1] the lower regularization fence, beta in (0, 1] the
-    target decay exponent of the practical mode.  nu0 = None means the
-    practical rule of practical_nu0; strict mode requires an explicit nu0.
+    vartheta in (0, 1] is the lower regularization fence, beta in (0, 1]
+    the target decay exponent of the practical mode, and eps2 the curvature
+    tolerance that run_moffar needs.  The step conditions use the fixed
+    _THETA1 = _THETA2 = 2.  nu0 = None means the practical rule of
+    practical_nu0; strict mode requires an explicit nu0.
     """
 
     degree: int = 2
-    theta1: float = 2.0
-    theta2: float | None = None
     vartheta: float = 1e-3
     eps1: float = 1e-6
     eps2: float | None = None
@@ -71,10 +70,6 @@ class OffoConfig:
     def __post_init__(self):
         if self.degree not in (1, 2):
             raise ValueError(f"degree must be 1 or 2, got {self.degree}")
-        if not self.theta1 > 1.0:
-            raise ValueError(f"theta1 must exceed 1, got {self.theta1}")
-        if self.theta2 is not None and not self.theta2 > 1.0:
-            raise ValueError(f"theta2 must exceed 1, got {self.theta2}")
         if not 0.0 < self.vartheta <= 1.0:
             raise ValueError(f"vartheta must lie in (0, 1], got {self.vartheta}")
         if not 0.0 < self.eps1 <= 1.0:
@@ -88,6 +83,11 @@ class OffoConfig:
         if self.nu0 is not None and not self.nu0 > 0.0:
             raise ValueError(f"nu0 must be positive, got {self.nu0}")
 
+
+# theta1 and theta2 of the step conditions (certify) and the mu updates.  The
+# complexity bounds hold for any fixed theta1, theta2 > 1.
+_THETA1 = 2.0
+_THETA2 = 2.0
 
 # The practical nu0 never falls below this floor.
 _VARSIGMA = 1e-6
@@ -252,11 +252,11 @@ def run_offar(problem, config: OffoConfig, *, collect_history: bool = False) -> 
 
 
 def run_moffar(problem, config: OffoConfig, *, collect_history: bool = False) -> RunOutcome:
-    """Second-order driver; needs degree 2, theta2 and eps2."""
+    """Second-order driver; needs degree 2 and eps2."""
     if config.degree != 2:
         raise ValueError("run_moffar requires degree 2")
-    if config.theta2 is None or config.eps2 is None:
-        raise ValueError("run_moffar requires theta2 and eps2")
+    if config.eps2 is None:
+        raise ValueError("run_moffar requires eps2")
     return _run_offo(problem, config, second_order=True, collect_history=collect_history)
 
 
@@ -299,10 +299,9 @@ def _run_offo(problem, config: OffoConfig, *, second_order: bool,
         if k == 0:
             sigma = nu0
         else:
-            state.mu1 = mu1_update(gnorm, prev_step_norm, state.sigma, config.theta1, p)
+            state.mu1 = mu1_update(gnorm, prev_step_norm, state.sigma, _THETA1, p)
             if second_order:
-                state.mu2 = mu2_update(min_eig, prev_step_norm, state.sigma,
-                                       config.theta2, p)
+                state.mu2 = mu2_update(min_eig, prev_step_norm, state.sigma, _THETA2, p)
             if not config.strict_mode:
                 state.xi, state.target = xi_target_update(
                     state, gnorm, gnorm_prev, config)
@@ -314,8 +313,7 @@ def _run_offo(problem, config: OffoConfig, *, second_order: bool,
             step = solve_p1(bundle.gradient, sigma)
         else:
             step = solve_p2(bundle.gradient, bundle.hessian, sigma, eig=eig)
-        if not certify(step, model, config.theta1,
-                       config.theta2 if second_order else None):
+        if not certify(step, model, _THETA1, _THETA2 if second_order else None):
             raise CertificateError(
                 f"step conditions failed at iteration {k} (sigma={sigma!r})")
 

@@ -182,10 +182,6 @@ def scripted_oracle(seq: SlowSequence, *, degree: int) -> ProblemOracle:
     )
 
 
-# theta1 and theta2 of the replays' certificates.
-_REPLAY_THETA = 2.0
-
-
 def replay_first_order(seq: SlowSequence) -> RunOutcome:
     """Run the first-order driver against the scripted sequence.
 
@@ -198,10 +194,8 @@ def replay_first_order(seq: SlowSequence) -> RunOutcome:
     if seq.p not in (1, 2):
         raise ValueError("the drivers implement p in {1, 2}")
     oracle = scripted_oracle(seq, degree=seq.p)
-    config = OffoConfig(
-        degree=seq.p, theta1=_REPLAY_THETA, vartheta=1.0, eps1=seq.eps,
-        strict_mode=True, nu0=seq.sigma0, max_iter=seq.k_eps + 10,
-    )
+    config = OffoConfig(degree=seq.p, vartheta=1.0, eps1=seq.eps, strict_mode=True,
+                        nu0=seq.sigma0, max_iter=seq.k_eps + 10)
     return run_offar(oracle, config)
 
 
@@ -212,11 +206,8 @@ def replay_second_order(seq: SlowSequence) -> RunOutcome:
     if seq.p != 2:
         raise ValueError("the drivers implement p = 2")
     oracle = scripted_oracle(seq, degree=2)
-    config = OffoConfig(
-        degree=2, theta1=_REPLAY_THETA, theta2=_REPLAY_THETA, vartheta=1.0,
-        eps1=1.0, eps2=seq.eps, strict_mode=True, nu0=seq.sigma0,
-        max_iter=seq.k_eps + 10,
-    )
+    config = OffoConfig(degree=2, vartheta=1.0, eps1=1.0, eps2=seq.eps, strict_mode=True,
+                        nu0=seq.sigma0, max_iter=seq.k_eps + 10)
     return run_moffar(oracle, config)
 
 

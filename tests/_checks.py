@@ -15,6 +15,7 @@ import math
 import numpy as np
 
 from offar import RegularizedModel, certify, theory_bounds
+from offar.solvers import _THETA1, _THETA2
 
 REL = 1e-9
 ABS = 1e-12
@@ -61,10 +62,10 @@ def check_offo_invariants(outcome, config, oracle=None, check_lipschitz=True):
         if not (_le(lo, sigma[k]) and _le(sigma[k], hi)):
             bad.append(f"k={k}: sigma={sigma[k]!r} outside [{lo!r}, {hi!r}]")
 
-    theta2 = config.theta2 if config.eps2 is not None else None
+    theta2 = _THETA2 if config.eps2 is not None else None
     for k in range(min(K, len(hist.step_results))):
         model = RegularizedModel(hist.bundles[k], sigma[k], p)
-        if not certify(hist.step_results[k], model, config.theta1, theta2):
+        if not certify(hist.step_results[k], model, _THETA1, theta2):
             bad.append(f"k={k}: step certificate failed (sigma={sigma[k]!r})")
 
     L = oracle.meta.lipschitz.get(p) if oracle is not None else None
@@ -85,7 +86,7 @@ def check_offo_invariants(outcome, config, oracle=None, check_lipschitz=True):
     for k in range(K):
         if math.isnan(gnorm[k + 1]):
             continue
-        need = pfact * gnorm[k + 1] / (L + config.theta1 * sigma[k])
+        need = pfact * gnorm[k + 1] / (L + _THETA1 * sigma[k])
         if not _le(need, snorm[k] ** p, scale=snorm[k] ** p):
             bad.append(
                 f"k={k}: step bound ||s||^p={snorm[k] ** p!r} "
@@ -125,7 +126,7 @@ def check_offo_invariants(outcome, config, oracle=None, check_lipschitz=True):
     meta = oracle.meta
     if meta.f_low is not None and not math.isnan(fval[0]):
         report = theory_bounds(
-            p, config.eps1, L=L, sigma0=nu0, theta1=config.theta1,
+            p, config.eps1, L=L, sigma0=nu0, theta1=_THETA1,
             vartheta=config.vartheta,
             kappa_high=0.0 if meta.kappa_high is None else meta.kappa_high,
             g0_norm=gnorm[0], f0=fval[0], f_low=meta.f_low)

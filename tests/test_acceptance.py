@@ -186,8 +186,7 @@ def test_10_second_order_escape():
         po = ProblemOracle("double-well", 2, np.array([0.0, 1.0]), ev,
                            ProblemMeta())
         t0 = time.perf_counter()
-        cfg = OffoConfig(degree=2, eps1=1e-4, eps2=1e-4, theta2=2.0,
-                         strict_mode=True, nu0=1.0)
+        cfg = OffoConfig(degree=2, eps1=1e-4, eps2=1e-4, strict_mode=True, nu0=1.0)
         out = run_moffar(po, cfg)
         dt = time.perf_counter() - t0
         assert out.status == RunStatus.SECOND_ORDER
@@ -197,8 +196,7 @@ def test_10_second_order_escape():
         assert dt < 1.0
         # The default (non-strict) weights take a long detour after their
         # first weight collapse but must land at the same kind of point.
-        out2 = run_moffar(po, OffoConfig(degree=2, eps1=1e-4, eps2=1e-4,
-                                         theta2=2.0))
+        out2 = run_moffar(po, OffoConfig(degree=2, eps1=1e-4, eps2=1e-4))
         assert out2.status == RunStatus.SECOND_ORDER
         assert out2.final_grad_norm <= 1e-4
         assert out2.final_min_eig >= -1e-4

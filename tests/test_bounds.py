@@ -3,7 +3,7 @@
 import pytest
 
 from offar import OffoConfig, RunStatus, get_problem, run_offar
-from offar.bounds import BoundReport, bounds_for_problem, theory_bounds
+from offar.bounds import BoundReport, bounds_for_problem, problem_constants, theory_bounds
 
 UNIT = dict(L=1.0, sigma0=1.0, theta1=1.0, vartheta=1.0)
 
@@ -154,6 +154,16 @@ class TestProblemWrapper:
         out = run_offar(po, cfg)
         assert out.status == RunStatus.FIRST_ORDER
         assert out.iterations + 2 <= rep.bound_first_order
+
+    def test_eps2_config_gets_the_second_order_bound(self):
+        po = get_problem("tridia")
+        cfg = OffoConfig(degree=2, eps1=1e-2, eps2=1e-2, strict_mode=True, nu0=1.0)
+        rep = bounds_for_problem(po, cfg)
+        want = theory_bounds(2, 1e-2, sigma0=1.0, theta1=2.0, vartheta=cfg.vartheta,
+                             theta2=2.0, eps2=1e-2, **problem_constants(po, 2))
+        assert rep.missing == ()
+        assert rep.bound_second_order is not None
+        assert rep == want
 
     def test_requires_declared_smoothness(self):
         po = get_problem("rosenbr")  # declares no global Lipschitz constant

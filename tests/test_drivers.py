@@ -227,7 +227,7 @@ class TestFactorizations:
         return driver(problem, config), counts
 
     def test_moffar2(self, monkeypatch):
-        cfg = OffoConfig(degree=2, eps1=1e-6, eps2=1e-6, theta2=2.0)
+        cfg = OffoConfig(degree=2, eps1=1e-6, eps2=1e-6)
         out, counts = self.run_counted(monkeypatch, run_moffar, cfg)
         assert out.status == RunStatus.SECOND_ORDER
         assert counts == {"eigh": out.iterations + 1, "eigvalsh": out.iterations}
@@ -250,13 +250,12 @@ class TestMoffar:
         with pytest.raises(ValueError):
             run_moffar(po, OffoConfig(degree=1, eps1=1e-6))
         with pytest.raises(ValueError):
-            run_moffar(po, OffoConfig(degree=2, eps1=1e-6))  # no theta2/eps2
+            run_moffar(po, OffoConfig(degree=2, eps1=1e-6))  # no eps2
 
     def test_does_not_stop_at_saddle(self):
         # start exactly where the gradient vanishes but curvature is -1
         po = double_well_oracle([0.0, 0.0])
-        cfg = OffoConfig(degree=2, eps1=1e-4, eps2=1e-4, theta2=2.0,
-                         strict_mode=True, nu0=1.0)
+        cfg = OffoConfig(degree=2, eps1=1e-4, eps2=1e-4, strict_mode=True, nu0=1.0)
         out = run_moffar(po, cfg)
         assert out.status == RunStatus.SECOND_ORDER
         assert abs(abs(out.final_x[0]) - 1.0) < 1e-3
@@ -271,7 +270,7 @@ class TestMoffar:
 
     def test_second_order_point_on_convex_problem(self):
         po = get_problem("tridia")
-        cfg = OffoConfig(degree=2, eps1=1e-6, eps2=1e-6, theta2=2.0)
+        cfg = OffoConfig(degree=2, eps1=1e-6, eps2=1e-6)
         out = run_moffar(po, cfg)
         assert out.status == RunStatus.SECOND_ORDER
         assert out.final_min_eig > 0.0

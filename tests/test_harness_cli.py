@@ -29,7 +29,7 @@ class TestRunSingle:
 
     def test_first_order_variant(self):
         out = run_single(identity_quadratic(), "offar1", eps1=1e-6,
-                         strict=True, nu0=9.0, vartheta=1.0)
+                         strict=True, nu0=1.0)
         assert out.status == RunStatus.FIRST_ORDER
         assert out.trace.algorithm == "offar1"
 

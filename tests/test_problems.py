@@ -66,18 +66,28 @@ class TestDerivatives:
         assert any(kind == "gradient" for _, kind, _, _ in report.violations)
 
     def test_negative_control_bad_hessian(self):
-        def ev(x):
-            return DerivativeBundle(2.0 * x, 1.9 * np.eye(2), float(x @ x))
+        # A NaN entry compares False against the tolerance, yet is an error.
+        for name, hess in (("badhess", 1.9 * np.eye(2)),
+                           ("nanhess", np.array([[2.0, 0.0], [0.0, np.nan]]))):
+            def ev(x, hess=hess):
+                return DerivativeBundle(2.0 * x, hess, float(x @ x))
 
-        p = ProblemOracle("badhess", 2, np.zeros(2), ev, ProblemMeta())
-        report = validate_derivatives(p, [np.array([0.3, -0.2])])
-        assert not report.ok
-        assert any(kind == "hessian" for _, kind, _, _ in report.violations)
+            p = ProblemOracle(name, 2, np.zeros(2), ev, ProblemMeta())
+            report = validate_derivatives(p, [np.array([0.3, -0.2])])
+            assert not report.ok, name
+            assert any(kind == "hessian" for _, kind, _, _ in report.violations), name
 
     def test_noisy_oracle_fails_validation(self):
         p = add_noise(get_problem("tridia"), NoiseSpec(level=0.05, seed=3))
         report = validate_derivatives(p, [p.x0])
         assert not report.ok
+
+
+    def test_beale_hessian_on_the_x2_axis(self):
+        # The j = 1 term of d^2f/dx2^2 is 0 * x2^-1, not NaN, at x2 = 0.
+        bundle = get_problem("beale").evaluate(np.array([2.0, 0.0]))
+        assert bundle.hessian[1, 1] == 10.0
+        assert bundle.is_finite()
 
 
 class TestMetadata:

@@ -67,8 +67,7 @@ class TestSigmaSelect:
         assert sigma_select(st, cfg) == pytest.approx(4.0)
 
     def test_mu2_raises_strict_choice(self):
-        cfg = OffoConfig(degree=2, strict_mode=True, nu0=1.0,
-                         theta2=2.0, eps2=1e-4)
+        cfg = OffoConfig(degree=2, strict_mode=True, nu0=1.0, eps2=1e-4)
         st = SolverState(nu=10.0, mu1=1.0, mu2=7.5, xi=1.0)
         assert sigma_select(st, cfg) == pytest.approx(7.5)
 
@@ -135,8 +134,6 @@ class TestConfigValidation:
     # Explicit ids, so that removing a case leaves the others' ids alone.
     @pytest.mark.parametrize("kw", [
         pytest.param(dict(degree=3), id="kw0"),
-        pytest.param(dict(theta1=1.0), id="kw1"),
-        pytest.param(dict(theta2=0.5), id="kw2"),
         pytest.param(dict(vartheta=0.0), id="kw3"),
         pytest.param(dict(vartheta=1.5), id="kw4"),
         pytest.param(dict(eps1=0.0), id="kw5"),
@@ -155,6 +152,6 @@ class TestConfigValidation:
             OffoConfig(**base)
 
     def test_good_config_roundtrip(self):
-        cfg = OffoConfig(degree=1, theta1=1.5, eps1=1e-3, beta=2.0 / 3.0)
+        cfg = OffoConfig(degree=1, eps1=1e-3, beta=2.0 / 3.0)
         assert cfg.degree == 1
         assert cfg.beta == pytest.approx(2.0 / 3.0)
