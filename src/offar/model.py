@@ -65,12 +65,18 @@ class DerivativeBundle:
     def n(self) -> int:
         return self.gradient.size
 
+    def finite_grad_norm(self) -> float:
+        """||gradient||, or inf when a derivative present is not finite or
+        the norm overflows (finite entries can still overflow it); fvalue is
+        not consulted.  The drivers' one gradient norm per evaluation."""
+        norm = vnorm(self.gradient)
+        if norm < math.inf and (self.hessian is None or np.isfinite(self.hessian).all()):
+            return norm
+        return math.inf
+
     def is_finite(self) -> bool:
-        """Finiteness of the derivatives present, the gradient's norm included
-        (finite entries can still overflow it); fvalue is not consulted."""
-        if not vnorm(self.gradient) < math.inf:
-            return False
-        return self.hessian is None or bool(np.isfinite(self.hessian).all())
+        """Finiteness of the derivatives present, the gradient's norm included."""
+        return self.finite_grad_norm() < math.inf
 
 
 @dataclass

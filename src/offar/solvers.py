@@ -6,8 +6,8 @@ norms and step norms through the mu1/nu recursions.  run_moffar adds the
 curvature channel (mu2, smallest Hessian eigenvalue) and stops at approximate
 second-order points.  Both support a strict mode (sigma_k = max of the lower
 bound and the mu estimates, nu0 user supplied) and a practical mode (the
-xi/target relaxation, nu0 from practical_nu0).  The same rule runs
-on clean and noisy oracles.
+xi/target relaxation, sigma falling by at most a factor of 2 per iteration,
+nu0 from practical_nu0).  The same rule runs on clean and noisy oracles.
 
 run_ar2 is the classical function-value-based adaptive regularization
 baseline, sharing the same exact subproblem solver; it is the only driver
@@ -96,6 +96,12 @@ _VARSIGMA = 1e-6
 def practical_nu0(g0_norm: float) -> float:
     """The practical initial weight max[varsigma, 6 ||g0||]."""
     return max(_VARSIGMA, 6.0 * g0_norm)
+
+
+# In practical mode sigma_k >= _SIGMA_FALL * sigma_{k-1} before the clamp into
+# the admissible interval: the weight falls by at most a factor of 2 per
+# iteration, as AR2's _GAMMA2 lets it.
+_SIGMA_FALL = 0.5
 
 
 # AR2's accept/reject constants (Cartis, Gould & Toint 2011, ARC Part I): a
@@ -187,15 +193,20 @@ def nu_update(nu: float, step_norm: float, p: int) -> float:
 def sigma_select(state: SolverState, config: OffoConfig) -> float:
     """Pick sigma_k inside [vartheta nu_k, max(nu_k, mu1_k[, mu2_k])].
 
-    Strict mode takes the mu estimates at face value; practical mode scales
-    mu1 by the relaxation factor xi.  Both results are clamped into the
-    admissible interval (a no-op mathematically, kept as a guard).
+    Strict mode takes the mu estimates at face value.  Practical mode scales
+    mu1 by the relaxation factor xi and keeps sigma_k >= _SIGMA_FALL *
+    sigma_{k-1} (state.sigma still holds sigma_{k-1}).  The clamp into the
+    interval is a guard in strict mode; in practical mode it binds when
+    _SIGMA_FALL * sigma_{k-1} exceeds max(nu_k, mu_k).
     """
     if state.mu1 is None:
         raise ValueError("sigma_select needs mu1 (k >= 1)")
     mus = (state.mu1,) if state.mu2 is None else (state.mu1, state.mu2)
     lo = config.vartheta * state.nu
-    value = max(lo, *mus) if config.strict_mode else max(lo, state.xi * state.mu1)
+    if config.strict_mode:
+        value = max(lo, *mus)
+    else:
+        value = max(lo, state.xi * state.mu1, _SIGMA_FALL * state.sigma)
     return min(max(value, lo), max(max(state.nu, *mus), lo))
 
 
@@ -277,9 +288,9 @@ def _run_offo(problem, config: OffoConfig, *, second_order: bool,
     bundle = problem.evaluate(x)
     if p == 2 and bundle.hessian is None:
         raise ValueError(f"{algorithm} needs Hessians")
-    if not bundle.is_finite():
+    gnorm = bundle.finite_grad_norm()
+    if not gnorm < math.inf:
         return rec.finish(RunStatus.ORACLE_OVERFLOW, x, math.nan, 0)
-    gnorm = vnorm(bundle.gradient)
 
     nu0 = config.nu0 if config.nu0 is not None else practical_nu0(gnorm)
     state = SolverState(nu=nu0, sigma=nu0)
@@ -335,9 +346,9 @@ def _run_offo(problem, config: OffoConfig, *, second_order: bool,
         k += 1
 
         bundle = problem.evaluate(x)
-        if not bundle.is_finite():
+        gnorm = bundle.finite_grad_norm()
+        if not gnorm < math.inf:
             return rec.finish(RunStatus.ORACLE_OVERFLOW, x, math.nan, k, nu=state.nu)
-        gnorm = vnorm(bundle.gradient)
         rec.point(x, bundle)
 
     if stop:
@@ -366,9 +377,9 @@ def run_ar2(problem, config: Ar2Config, *, collect_history: bool = False) -> Run
     bundle = problem.evaluate(x)
     if bundle.fvalue is None or bundle.hessian is None:
         raise ValueError("ar2 needs function values and Hessians")
-    if not bundle.is_finite() or not math.isfinite(bundle.fvalue):
+    gnorm = bundle.finite_grad_norm()
+    if not gnorm < math.inf or not math.isfinite(bundle.fvalue):
         return rec.finish(RunStatus.ORACLE_OVERFLOW, x, math.nan, 0)
-    gnorm = vnorm(bundle.gradient)
     eig, min_eig = _factorize(bundle)
     sigma = config.sigma0
     rec.point(x, bundle)
@@ -384,8 +395,9 @@ def run_ar2(problem, config: Ar2Config, *, collect_history: bool = False) -> Run
                 raise CertificateError(f"degenerate subproblem solution at iteration {k}")
             trial_x = x + step.step
         trial = problem.evaluate(trial_x)
+        trial_gnorm = trial.finite_grad_norm()
         overflow = (trial.fvalue is None or not math.isfinite(trial.fvalue)
-                    or not trial.is_finite())
+                    or not trial_gnorm < math.inf)
         rho = math.nan if overflow else (bundle.fvalue - trial.fvalue) / decrease
         accepted = rho >= _ETA1
 
@@ -407,7 +419,7 @@ def run_ar2(problem, config: Ar2Config, *, collect_history: bool = False) -> Run
         if accepted:
             x = trial_x
             bundle = trial
-            gnorm = vnorm(bundle.gradient)
+            gnorm = trial_gnorm
             eig, min_eig = _factorize(bundle)
             step = None
             if rho >= _ETA2:

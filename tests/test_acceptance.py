@@ -194,8 +194,8 @@ def test_10_second_order_escape():
         assert out.final_min_eig >= -1e-4
         assert abs(abs(out.final_x[0]) - 1.0) <= 1e-3
         assert dt < 1.0
-        # The default (non-strict) weights take a long detour after their
-        # first weight collapse but must land at the same kind of point.
+        # The default (practical) weights follow their own path but must
+        # land at the same kind of point.
         out2 = run_moffar(po, OffoConfig(degree=2, eps1=1e-4, eps2=1e-4))
         assert out2.status == RunStatus.SECOND_ORDER
         assert out2.final_grad_norm <= 1e-4

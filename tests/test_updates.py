@@ -54,8 +54,21 @@ class TestSigmaSelect:
         assert sigma_select(st, self.practical()) == pytest.approx(4.0)
 
     def test_lower_clamp(self):
-        st = SolverState(nu=10.0, mu1=-5.0, xi=1.0)
+        st = SolverState(nu=10.0, sigma=1e-3, mu1=-5.0, xi=1.0)
         assert sigma_select(st, self.practical()) == pytest.approx(0.01)
+
+    def test_fall_cap_binds(self):
+        st = SolverState(nu=10.0, sigma=8.0, mu1=-5.0, xi=1.0)
+        assert sigma_select(st, self.practical()) == pytest.approx(4.0)
+
+    def test_fall_cap_clamped_to_interval(self):
+        st = SolverState(nu=10.0, sigma=100.0, mu1=4.0, xi=1.0)
+        assert sigma_select(st, self.practical()) == pytest.approx(10.0)
+
+    def test_strict_ignores_fall_cap(self):
+        cfg = OffoConfig(degree=2, strict_mode=True, nu0=1.0)
+        st = SolverState(nu=10.0, sigma=8.0, mu1=-5.0, xi=1.0)
+        assert sigma_select(st, cfg) == pytest.approx(0.01)
 
     def test_xi_scales_mu(self):
         st = SolverState(nu=10.0, mu1=4.0, xi=0.25)
@@ -78,6 +91,7 @@ class TestSigmaSelect:
         cfg_s = OffoConfig(degree=2, strict_mode=True, nu0=1.0)
         for _ in range(200):
             st = SolverState(nu=float(rng.uniform(1e-3, 1e3)),
+                             sigma=float(10.0 ** rng.uniform(-4.0, 4.0)),
                              mu1=float(rng.uniform(-50.0, 50.0)),
                              mu2=float(rng.uniform(-50.0, 50.0)) if rng.random() < 0.5 else None,
                              xi=float(rng.uniform(1e-3, 1.0)))
