@@ -74,10 +74,6 @@ class DerivativeBundle:
             return norm
         return math.inf
 
-    def is_finite(self) -> bool:
-        """Finiteness of the derivatives present, the gradient's norm included."""
-        return self.finite_grad_norm() < math.inf
-
 
 @dataclass
 class RegularizedModel:

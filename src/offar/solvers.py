@@ -365,10 +365,10 @@ def run_ar2(problem, config: Ar2Config, *, collect_history: bool = False) -> Run
 
     Rejected iterations still count (and still cost one objective
     evaluation); the trace records the ratio rho and the accept flag per
-    iteration.  The step, its Taylor decrease and the trial point depend
-    only on (x, sigma) and are recomputed only when either changed: at the
-    _GAMMA3 cap a rejection changes neither, so the next iteration reuses the
-    previous solve exactly and repeats only the (noisy) trial evaluation.
+    iteration.  The step, its norm, its Taylor decrease and the trial point
+    depend only on (x, sigma) and are recomputed only when either changed: at
+    the _GAMMA3 cap a rejection changes neither, so the next iteration reuses
+    the previous solve exactly and repeats only the (noisy) trial evaluation.
     """
     rec = _Record(problem, "ar2", config, collect_history)
     trace = rec.trace
@@ -390,6 +390,7 @@ def run_ar2(problem, config: Ar2Config, *, collect_history: bool = False) -> Run
         if step is None or sigma != step_sigma:
             step = solve_p2(bundle.gradient, bundle.hessian, sigma, eig=eig)
             step_sigma = sigma
+            step_norm = vnorm(step.step)
             decrease = taylor_decrease(RegularizedModel(bundle, sigma, 2), step.step)
             if not (step.model_reduction > 0.0 and decrease > 0.0):
                 raise CertificateError(f"degenerate subproblem solution at iteration {k}")
@@ -403,7 +404,7 @@ def run_ar2(problem, config: Ar2Config, *, collect_history: bool = False) -> Run
 
         trace.append(
             k=k, grad_norm=gnorm, sigma=sigma,
-            step_norm=vnorm(step.step),
+            step_norm=step_norm,
             model_reduction=step.model_reduction,
             taylor_grad_norm=step.taylor_grad_norm,
             min_eig=min_eig,

@@ -33,7 +33,8 @@ COLUMNS = (
     "rho",
     "accepted",
 )
-_COLUMN_SET = frozenset(COLUMNS)
+_INDEX = {name: i for i, name in enumerate(COLUMNS)}
+_NAN_ROW = [math.nan] * len(COLUMNS)
 
 
 @dataclass
@@ -45,9 +46,15 @@ class RunTrace:
     rows: list[list[float]] = field(default_factory=list)
 
     def append(self, **values) -> None:
-        if not values.keys() <= _COLUMN_SET:
-            raise ValueError(f"unknown trace columns: {sorted(values.keys() - _COLUMN_SET)}")
-        row = [math.nan if v is None else float(v) for v in map(values.get, COLUMNS)]
+        row = _NAN_ROW.copy()
+        try:
+            for name, v in values.items():
+                i = _INDEX[name]
+                if v is not None:
+                    row[i] = float(v)
+        except KeyError:
+            unknown = sorted(values.keys() - _INDEX.keys())
+            raise ValueError(f"unknown trace columns: {unknown}") from None
         self.rows.append(row)
 
     def __len__(self) -> int:

@@ -1,12 +1,15 @@
 """Benchmark suite integrity: derivatives, metadata, noise wrapper."""
 
+import math
+
 import numpy as np
 import pytest
 
-from offar import (NoiseSpec, ProblemMeta, ProblemOracle, SUITE_NAMES,
-                   add_noise, get_problem, make_suite, validate_derivatives)
+from offar import (Ar2Config, NoiseSpec, ProblemMeta, ProblemOracle,
+                   SUITE_NAMES, add_noise, get_problem, make_suite, run_ar2,
+                   validate_derivatives)
 from offar.model import DerivativeBundle
-from offar.problems import _bundle
+from offar.problems import _STREAM_BLOCK, _NoisyEvaluator, _bundle
 
 
 class TestSuiteComposition:
@@ -38,7 +41,7 @@ class TestSuiteComposition:
     def test_start_values_finite(self):
         for p in make_suite():
             b = p.evaluate(p.x0)
-            assert b.is_finite() and b.hessian is not None
+            assert b.finite_grad_norm() < math.inf and b.hessian is not None
             assert np.isfinite(b.fvalue)
             assert float(np.linalg.norm(b.gradient)) > 1e-3  # start is not critical
 
@@ -87,7 +90,7 @@ class TestDerivatives:
         # The j = 1 term of d^2f/dx2^2 is 0 * x2^-1, not NaN, at x2 = 0.
         bundle = get_problem("beale").evaluate(np.array([2.0, 0.0]))
         assert bundle.hessian[1, 1] == 10.0
-        assert bundle.is_finite()
+        assert bundle.finite_grad_norm() < math.inf
 
 
 class TestMetadata:
@@ -194,15 +197,17 @@ class TestNoise:
 
     @staticmethod
     def three_term_noise(bundle, spec, count):
-        """The wrapper's original Hessian build: the noised upper triangle Hn
-        plus its mirror as Hn + Hn.T - diag(Hn)."""
+        """The wrapper's original build: one draw each for the function scalar,
+        the gradient and the Hessian's upper triangle Hn, which is mirrored
+        as Hn + Hn.T - diag(Hn)."""
         rng = np.random.default_rng((int(spec.seed), count))
+        f = bundle.fvalue * (1.0 + spec.level * rng.standard_normal())
         g = bundle.gradient * (1.0 + spec.level * rng.standard_normal(bundle.n))
         iu = np.triu_indices(bundle.n)
         vals = bundle.hessian[iu] * (1.0 + spec.level * rng.standard_normal(iu[0].size))
         Hn = np.zeros_like(bundle.hessian)
         Hn[iu] = vals
-        return DerivativeBundle(g, Hn + Hn.T - np.diag(np.diag(Hn)), bundle.fvalue)
+        return DerivativeBundle(g, Hn + Hn.T - np.diag(np.diag(Hn)), f)
 
     @pytest.mark.parametrize("name", ["rosenbr", "woods", "helix", "dixmaana"])
     def test_hessian_build_matches_three_term_formula(self, name):
@@ -211,11 +216,12 @@ class TestNoise:
         # draws factors 1 + z < 0 that turn +0.0 entries into -0.0.
         x = clean.x0.copy()
         x[1::2] = 0.0
-        spec = NoiseSpec(level=1.0, seed=3, targets=frozenset({"gradient", "hessian"}))
+        spec = NoiseSpec(level=1.0, seed=3)
         noisy = add_noise(clean, spec)
         ref = clean.evaluate(x)
         for count in range(40):
             new, old = noisy.evaluate(x), self.three_term_noise(ref, spec, count)
+            assert new.fvalue == old.fvalue
             assert new.gradient.tobytes() == old.gradient.tobytes()
             assert new.hessian.tobytes() == old.hessian.tobytes()
             assert not np.any(np.signbit(new.hessian) & (new.hessian == 0.0))
@@ -228,6 +234,55 @@ class TestNoise:
         after = clean.evaluate(clean.x0)
         assert before.fvalue == after.fvalue
         np.testing.assert_array_equal(before.gradient, after.gradient)
+
+
+class TestNoiseStreams:
+    """The wrapper draws exactly what np.random.default_rng((seed, count)) does."""
+
+    # Count 0, every block edge +-1 of the first three blocks, the last count
+    # the block hash covers and the edge below it.
+    COUNTS = sorted(
+        {0, 1, 2**31, 2**32 - _STREAM_BLOCK - 1, 2**32 - _STREAM_BLOCK, 2**32 - 1}
+        | {b * _STREAM_BLOCK + d for b in (1, 2, 3) for d in (-1, 0, 1)})
+
+    @staticmethod
+    def assert_same_draws(seed, counts):
+        ev = _NoisyEvaluator(None, NoiseSpec(level=0.1, seed=seed))
+        for count in counts:
+            ours = ev.generator(count).standard_normal(79)
+            ref = np.random.default_rng((int(seed), count)).standard_normal(79)
+            assert ours.tobytes() == ref.tobytes(), (seed, count)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, np.int64(7)])
+    def test_draws_match_default_rng(self, seed):
+        self.assert_same_draws(seed, self.COUNTS)
+        self.assert_same_draws(seed, reversed(self.COUNTS))  # blocks refill going back
+
+    @pytest.mark.parametrize("seed", [2**32, 2**64 + 3])
+    def test_wide_seeds_take_the_fallback(self, seed):
+        self.assert_same_draws(seed, [0, 1, _STREAM_BLOCK, 2**32 - 1, 2**32])
+
+    def test_wide_counts_take_the_fallback(self):
+        self.assert_same_draws(5, [2**32, 2**32 + 1, 2**40])
+
+    def test_negative_seed_raises(self):
+        noisy = add_noise(get_problem("cube"), NoiseSpec(level=0.1, seed=-1))
+        with pytest.raises(ValueError):
+            noisy.evaluate(noisy.x0)
+
+    def test_long_run_matches_default_rng_streams(self, monkeypatch):
+        # The fingerprint grid stops runs at 200 iterations, inside the first
+        # block; this ar2 run spans more than three.
+        def run():
+            problem = add_noise(get_problem("woods"), NoiseSpec(level=0.5, seed=3))
+            outcome = run_ar2(problem, Ar2Config(eps1=1e-3, max_iter=1000))
+            assert problem.evaluator.count > 3 * _STREAM_BLOCK
+            return outcome.trace
+
+        blocks = run()
+        monkeypatch.setattr(_NoisyEvaluator, "generator",
+                            lambda self, count: np.random.default_rng((self.seed, count)))
+        assert blocks.equals(run())
 
 
 class TestMemo:
