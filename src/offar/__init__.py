@@ -11,8 +11,7 @@ from .problems import (SUITE_NAMES, NoiseSpec, ProblemMeta, ProblemOracle,
 from .profiles import ProfileTable, compute_profile
 from .solvers import (Ar2Config, CertificateError, OffoConfig, RunOutcome,
                       RunStatus, SolverState, mu1_update, mu2_update,
-                      nu_update, run_ar2, run_moffar, run_offar, sigma_select,
-                      xi_target_update)
+                      nu_update, run_ar2, run_moffar, run_offar, sigma_select)
 from .subsolver import StepResult, certify, solve_p1, solve_p2
 from .trace import RunTrace
 from .worstcase import (DivergenceRun, SlowSequence, gen_first_order,

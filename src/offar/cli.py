@@ -39,7 +39,7 @@ def _build_parser() -> _Parser:
     run.add_argument("--max-iter", type=int, default=50000)
     run.add_argument("--strict", action="store_true")
     run.add_argument("--nu0", type=float, default=None)
-    run.add_argument("--sigma0", type=float, default=1.0)
+    run.add_argument("--sigma0", type=float, default=None)
     run.add_argument("--trace-out", default=None)
 
     bench = sub.add_parser("bench", help="sweep problems x algorithms x noise levels")

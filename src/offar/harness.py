@@ -1,8 +1,9 @@
 """Batch machinery: single runs by algorithm name, benchmark sweeps, CSV output.
 
-Algorithm names: offar1, offar2a (target decay exponent beta = 1), offar2b
-(beta = 2/3), moffar2, ar2.  Under noise the derivative-only variants see
-noisy gradients and Hessians and run the same weight rule as on clean
+Algorithm names: offar1, offar2a, offar2b, moffar2, ar2.  offar2b runs
+exactly the driver and config of offar2a; the name is kept for the
+benchmark's clean-suite workload.  Under noise the derivative-only variants
+see noisy gradients and Hessians and run the same weight rule as on clean
 problems; ar2 additionally sees noisy function values.  Cost of a run is its
 iteration count, inf when it did not reach its tolerance.
 """
@@ -29,15 +30,11 @@ SUCCESS = (RunStatus.FIRST_ORDER, RunStatus.SECOND_ORDER)
 
 
 def _offo_config(algorithm: str, *, eps1, eps2, max_iter, strict, nu0) -> OffoConfig:
-    degree = 1 if algorithm == "offar1" else 2
-    beta = 2.0 / 3.0 if algorithm == "offar2b" else 1.0
-    if algorithm != "moffar2":
-        eps2 = None
-    elif eps2 is None:
+    if algorithm == "moffar2" and eps2 is None:
         eps2 = eps1
     return OffoConfig(
-        degree=degree, eps1=eps1, eps2=eps2, beta=beta, max_iter=max_iter,
-        strict_mode=strict, nu0=nu0,
+        degree=1 if algorithm == "offar1" else 2, eps1=eps1, eps2=eps2,
+        max_iter=max_iter, strict_mode=strict, nu0=nu0,
     )
 
 
@@ -52,11 +49,24 @@ def run_single(
     max_iter: int = 50000,
     strict: bool = False,
     nu0: float | None = None,
-    sigma0: float = 1.0,
+    sigma0: float | None = None,
 ) -> RunOutcome:
-    """Run one algorithm on one problem, optionally under noise."""
+    """Run one algorithm on one problem, optionally under noise.
+
+    eps2 is read only by moffar2, strict and nu0 only by the derivative-only
+    drivers, sigma0 only by ar2 (None means Ar2Config's default); setting one
+    the chosen algorithm does not read raises ValueError.
+    """
     if algorithm not in ALGORITHMS:
         raise KeyError(f"unknown algorithm {algorithm!r}; choose from {ALGORITHMS}")
+    unread = [name for name, given, read in (
+        ("eps2", eps2 is not None, algorithm == "moffar2"),
+        ("strict", strict, algorithm != "ar2"),
+        ("nu0", nu0 is not None, algorithm != "ar2"),
+        ("sigma0", sigma0 is not None, algorithm == "ar2"),
+    ) if given and not read]
+    if unread:
+        raise ValueError(f"{algorithm} does not read {', '.join(unread)}")
     problem = oracle
     if noise_level > 0.0:
         targets = {"gradient", "hessian"}
@@ -64,6 +74,8 @@ def run_single(
             targets.add("function")
         problem = add_noise(oracle, NoiseSpec(noise_level, seed, frozenset(targets)))
     if algorithm == "ar2":
+        if sigma0 is None:
+            sigma0 = Ar2Config.sigma0
         config = Ar2Config(eps1=eps1, sigma0=sigma0, max_iter=max_iter)
         outcome = run_ar2(problem, config)
     else:

@@ -5,9 +5,11 @@ accepted, and the regularization weight sigma_k is steered only by gradient
 norms and step norms through the mu1/nu recursions.  run_moffar adds the
 curvature channel (mu2, smallest Hessian eigenvalue) and stops at approximate
 second-order points.  Both support a strict mode (sigma_k = max of the lower
-bound and the mu estimates, nu0 user supplied) and a practical mode (the
-xi/target relaxation, sigma falling by at most a factor of 2 per iteration,
-nu0 from practical_nu0).  The same rule runs on clean and noisy oracles.
+bound and the mu estimates, nu0 user supplied) and a practical mode
+(sigma_k = max(vartheta nu_k, mu1_k, sigma_{k-1}/2), so sigma falls by at
+most a factor of 2 per iteration; nu0 from practical_nu0).  Both clamp
+sigma_k into [vartheta nu_k, max(nu_k, mu_k)], where the complexity bounds
+hold.  The same rule runs on clean and noisy oracles.
 
 run_ar2 is the classical function-value-based adaptive regularization
 baseline, sharing the same exact subproblem solver; it is the only driver
@@ -51,10 +53,9 @@ def _config_hash(config) -> str:
 class OffoConfig:
     """Parameters of the derivative-only drivers.
 
-    vartheta in (0, 1] is the lower regularization fence, beta in (0, 1]
-    the target decay exponent of the practical mode, and eps2 the curvature
-    tolerance that run_moffar needs.  The step conditions use the fixed
-    _THETA1 = _THETA2 = 2.  nu0 = None means the practical rule of
+    vartheta in (0, 1] is the lower regularization fence and eps2 the
+    curvature tolerance that run_moffar needs.  The step conditions use the
+    fixed _THETA1 = _THETA2 = 2.  nu0 = None means the practical rule of
     practical_nu0; strict mode requires an explicit nu0.
     """
 
@@ -62,7 +63,6 @@ class OffoConfig:
     vartheta: float = 1e-3
     eps1: float = 1e-6
     eps2: float | None = None
-    beta: float = 1.0
     max_iter: int = 50000
     strict_mode: bool = False
     nu0: float | None = None
@@ -76,8 +76,6 @@ class OffoConfig:
             raise ValueError(f"eps1 must lie in (0, 1], got {self.eps1}")
         if self.eps2 is not None and not 0.0 < self.eps2 <= 1.0:
             raise ValueError(f"eps2 must lie in (0, 1], got {self.eps2}")
-        if not 0.0 < self.beta <= 1.0:
-            raise ValueError(f"beta must lie in (0, 1], got {self.beta}")
         if self.max_iter < 0:
             raise ValueError(f"max_iter must be nonnegative, got {self.max_iter}")
         if self.nu0 is not None and not self.nu0 > 0.0:
@@ -140,8 +138,6 @@ class SolverState:
     sigma: float = 1.0
     mu1: float | None = None
     mu2: float | None = None
-    xi: float = 1.0
-    target: float = 0.0
 
 
 @dataclass
@@ -193,11 +189,11 @@ def nu_update(nu: float, step_norm: float, p: int) -> float:
 def sigma_select(state: SolverState, config: OffoConfig) -> float:
     """Pick sigma_k inside [vartheta nu_k, max(nu_k, mu1_k[, mu2_k])].
 
-    Strict mode takes the mu estimates at face value.  Practical mode scales
-    mu1 by the relaxation factor xi and keeps sigma_k >= _SIGMA_FALL *
-    sigma_{k-1} (state.sigma still holds sigma_{k-1}).  The clamp into the
-    interval is a guard in strict mode; in practical mode it binds when
-    _SIGMA_FALL * sigma_{k-1} exceeds max(nu_k, mu_k).
+    Strict mode takes the mu estimates at face value.  Practical mode takes
+    max(vartheta nu_k, mu1_k, _SIGMA_FALL * sigma_{k-1}) (state.sigma still
+    holds sigma_{k-1}).  The clamp into the interval is a guard in strict
+    mode; in practical mode it binds when _SIGMA_FALL * sigma_{k-1} exceeds
+    max(nu_k, mu_k).
     """
     if state.mu1 is None:
         raise ValueError("sigma_select needs mu1 (k >= 1)")
@@ -206,20 +202,8 @@ def sigma_select(state: SolverState, config: OffoConfig) -> float:
     if config.strict_mode:
         value = max(lo, *mus)
     else:
-        value = max(lo, state.xi * state.mu1, _SIGMA_FALL * state.sigma)
+        value = max(lo, state.mu1, _SIGMA_FALL * state.sigma)
     return min(max(value, lo), max(max(state.nu, *mus), lo))
-
-
-def xi_target_update(state: SolverState, grad_norm_now: float,
-                     grad_norm_prev: float, config: OffoConfig) -> tuple[float, float]:
-    """Practical-mode relaxation: halve xi below target, push toward 1 on growth."""
-    xi, target = state.xi, state.target
-    if grad_norm_now <= target:
-        xi = max(config.vartheta, 0.5 * xi)
-        target = 0.9 * grad_norm_now**config.beta
-    elif grad_norm_now > max(target, grad_norm_prev) and xi < 1.0:
-        xi = 0.5 * (1.0 + xi)
-    return xi, target
 
 
 def _factorize(bundle: DerivativeBundle) -> tuple:
@@ -294,8 +278,6 @@ def _run_offo(problem, config: OffoConfig, *, second_order: bool,
 
     nu0 = config.nu0 if config.nu0 is not None else practical_nu0(gnorm)
     state = SolverState(nu=nu0, sigma=nu0)
-    state.target = 0.9 * gnorm**config.beta
-    gnorm_prev = gnorm
     prev_step_norm = None
     rec.point(x, bundle)
 
@@ -313,9 +295,6 @@ def _run_offo(problem, config: OffoConfig, *, second_order: bool,
             state.mu1 = mu1_update(gnorm, prev_step_norm, state.sigma, _THETA1, p)
             if second_order:
                 state.mu2 = mu2_update(min_eig, prev_step_norm, state.sigma, _THETA2, p)
-            if not config.strict_mode:
-                state.xi, state.target = xi_target_update(
-                    state, gnorm, gnorm_prev, config)
             sigma = sigma_select(state, config)
         state.sigma = sigma
 
@@ -333,8 +312,6 @@ def _run_offo(problem, config: OffoConfig, *, second_order: bool,
             k=k, grad_norm=gnorm, sigma=sigma, nu=state.nu, mu1=state.mu1,
             mu2=state.mu2, step_norm=snorm, model_reduction=step.model_reduction,
             taylor_grad_norm=step.taylor_grad_norm,
-            xi=math.nan if config.strict_mode else state.xi,
-            target=math.nan if config.strict_mode else state.target,
             min_eig=min_eig, fvalue=bundle.fvalue,
         )
         rec.step(step)
@@ -342,7 +319,6 @@ def _run_offo(problem, config: OffoConfig, *, second_order: bool,
         x = x + step.step
         state.nu = nu_update(state.nu, snorm, p)
         prev_step_norm = snorm
-        gnorm_prev = gnorm
         k += 1
 
         bundle = problem.evaluate(x)

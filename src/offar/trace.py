@@ -2,10 +2,12 @@
 
 One row per iteration plus a final row for the point the run stopped at,
 so a run of K iterations yields K + 1 rows.  Columns not meaningful for a
-given algorithm (e.g. xi for strict mode, rho for the derivative-only
+given algorithm (e.g. mu2 for run_offar, rho for the derivative-only
 solvers) hold NaN, whether left out of append or passed as None.  Floats
 are written with shortest round-trip formatting, so parse(emit(trace))
-reproduces the trace bitwise.
+reproduces the trace bitwise.  A CSV whose header differs from COLUMNS
+fails to parse, so a trace written with another column set is refused,
+not misread.
 """
 
 from __future__ import annotations
@@ -26,8 +28,6 @@ COLUMNS = (
     "step_norm",
     "model_reduction",
     "taylor_grad_norm",
-    "xi",
-    "target",
     "min_eig",
     "fvalue",
     "rho",

@@ -39,11 +39,17 @@ class TestRunSingle:
         assert out.status == RunStatus.FIRST_ORDER
         assert out.trace.algorithm == alg
 
-    def test_target_decay_exponent_matters(self):
+    def test_offar2b_runs_the_offar2a_rule(self):
         a = run_single(get_problem("rosenbr"), "offar2a", eps1=1e-6)
         b = run_single(get_problem("rosenbr"), "offar2b", eps1=1e-6)
-        assert not np.array_equal(a.trace.column("target"),
-                                  b.trace.column("target"))
+        b.trace.algorithm = a.trace.algorithm
+        assert a.trace.equals(b.trace)
+
+    def test_ar2_reads_sigma0(self):
+        default = run_single(get_problem("cube"), "ar2", eps1=1e-6)
+        given = run_single(get_problem("cube"), "ar2", eps1=1e-6, sigma0=8.0)
+        assert default.trace.column("sigma")[0] == 1.0
+        assert given.trace.column("sigma")[0] == 8.0
 
     def test_moffar_defaults_eps2_to_eps1(self):
         out = run_single(get_problem("tridia"), "moffar2", eps1=1e-6)
@@ -201,6 +207,11 @@ class TestCli:
         ["bench", "--alg", "offar2a,newton"],
         ["bounds"],
         ["worstcase", "--mode", "first", "--p", "0"],
+        # settings the chosen algorithm would not read
+        ["run", "--problem", "cube", "--alg", "offar2a", "--eps2", "1e-4"],
+        ["run", "--problem", "cube", "--alg", "ar2", "--strict"],
+        ["run", "--problem", "cube", "--alg", "ar2", "--nu0", "1"],
+        ["run", "--problem", "cube", "--alg", "offar1", "--sigma0", "2"],
     ])
     def test_usage_errors(self, argv, capsys):
         assert main(argv) == 1

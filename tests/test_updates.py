@@ -1,7 +1,7 @@
 import pytest
 
 from offar import (OffoConfig, SolverState, mu1_update, mu2_update, nu_update,
-                   sigma_select, xi_target_update)
+                   sigma_select)
 
 
 class TestMu1:
@@ -50,38 +50,34 @@ class TestSigmaSelect:
         return OffoConfig(degree=2, **kw)
 
     def test_mu_dominates(self):
-        st = SolverState(nu=10.0, mu1=4.0, xi=1.0)
+        st = SolverState(nu=10.0, mu1=4.0)
         assert sigma_select(st, self.practical()) == pytest.approx(4.0)
 
     def test_lower_clamp(self):
-        st = SolverState(nu=10.0, sigma=1e-3, mu1=-5.0, xi=1.0)
+        st = SolverState(nu=10.0, sigma=1e-3, mu1=-5.0)
         assert sigma_select(st, self.practical()) == pytest.approx(0.01)
 
     def test_fall_cap_binds(self):
-        st = SolverState(nu=10.0, sigma=8.0, mu1=-5.0, xi=1.0)
+        st = SolverState(nu=10.0, sigma=8.0, mu1=-5.0)
         assert sigma_select(st, self.practical()) == pytest.approx(4.0)
 
     def test_fall_cap_clamped_to_interval(self):
-        st = SolverState(nu=10.0, sigma=100.0, mu1=4.0, xi=1.0)
+        st = SolverState(nu=10.0, sigma=100.0, mu1=4.0)
         assert sigma_select(st, self.practical()) == pytest.approx(10.0)
 
     def test_strict_ignores_fall_cap(self):
         cfg = OffoConfig(degree=2, strict_mode=True, nu0=1.0)
-        st = SolverState(nu=10.0, sigma=8.0, mu1=-5.0, xi=1.0)
+        st = SolverState(nu=10.0, sigma=8.0, mu1=-5.0)
         assert sigma_select(st, cfg) == pytest.approx(0.01)
-
-    def test_xi_scales_mu(self):
-        st = SolverState(nu=10.0, mu1=4.0, xi=0.25)
-        assert sigma_select(st, self.practical()) == pytest.approx(1.0)
 
     def test_strict_takes_mu_face_value(self):
         cfg = OffoConfig(degree=2, strict_mode=True, nu0=1.0)
-        st = SolverState(nu=10.0, mu1=4.0, xi=0.25)
+        st = SolverState(nu=10.0, mu1=4.0)
         assert sigma_select(st, cfg) == pytest.approx(4.0)
 
     def test_mu2_raises_strict_choice(self):
         cfg = OffoConfig(degree=2, strict_mode=True, nu0=1.0, eps2=1e-4)
-        st = SolverState(nu=10.0, mu1=1.0, mu2=7.5, xi=1.0)
+        st = SolverState(nu=10.0, mu1=1.0, mu2=7.5)
         assert sigma_select(st, cfg) == pytest.approx(7.5)
 
     def test_result_stays_in_interval(self):
@@ -93,8 +89,7 @@ class TestSigmaSelect:
             st = SolverState(nu=float(rng.uniform(1e-3, 1e3)),
                              sigma=float(10.0 ** rng.uniform(-4.0, 4.0)),
                              mu1=float(rng.uniform(-50.0, 50.0)),
-                             mu2=float(rng.uniform(-50.0, 50.0)) if rng.random() < 0.5 else None,
-                             xi=float(rng.uniform(1e-3, 1.0)))
+                             mu2=float(rng.uniform(-50.0, 50.0)) if rng.random() < 0.5 else None)
             for cfg in (cfg_p, cfg_s):
                 val = sigma_select(st, cfg)
                 lo = cfg.vartheta * st.nu
@@ -106,44 +101,6 @@ class TestSigmaSelect:
             sigma_select(SolverState(nu=1.0), self.practical())
 
 
-class TestXiTarget:
-    def cfg(self, beta=1.0):
-        return OffoConfig(degree=2, beta=beta)
-
-    def test_below_target_halves(self):
-        st = SolverState(xi=1.0, target=1.0)
-        xi, target = xi_target_update(st, 0.5, 2.0, self.cfg())
-        assert xi == pytest.approx(0.5)
-        assert target == pytest.approx(0.45)
-
-    def test_growth_pushes_back(self):
-        st = SolverState(xi=0.5, target=1.0)
-        xi, target = xi_target_update(st, 2.0, 1.5, self.cfg())
-        assert xi == pytest.approx(0.75)
-        assert target == pytest.approx(1.0)
-
-    def test_between_keeps_state(self):
-        st = SolverState(xi=0.5, target=1.0)
-        xi, target = xi_target_update(st, 1.2, 1.3, self.cfg())
-        assert xi == pytest.approx(0.5)
-        assert target == pytest.approx(1.0)
-
-    def test_xi_floor(self):
-        st = SolverState(xi=1.5e-3, target=1.0)
-        xi, _ = xi_target_update(st, 0.1, 0.2, self.cfg())
-        assert xi == pytest.approx(1e-3)
-
-    def test_xi_never_exceeds_one(self):
-        st = SolverState(xi=1.0, target=0.5)
-        xi, _ = xi_target_update(st, 2.0, 1.0, self.cfg())
-        assert xi == 1.0
-
-    def test_beta_in_target(self):
-        st = SolverState(xi=1.0, target=1.0)
-        _, target = xi_target_update(st, 0.5, 2.0, self.cfg(beta=2.0 / 3.0))
-        assert target == pytest.approx(0.9 * 0.5 ** (2.0 / 3.0))
-
-
 class TestConfigValidation:
     # Explicit ids, so that removing a case leaves the others' ids alone.
     @pytest.mark.parametrize("kw", [
@@ -153,10 +110,8 @@ class TestConfigValidation:
         pytest.param(dict(eps1=0.0), id="kw5"),
         pytest.param(dict(eps1=2.0), id="kw6"),
         pytest.param(dict(eps2=0.0), id="kw7"),
-        pytest.param(dict(beta=0.0), id="kw8"),
         pytest.param(dict(max_iter=-1), id="kw10"),
         pytest.param(dict(eps2=1.5), id="kw11"),
-        pytest.param(dict(beta=1.5), id="kw12"),
         pytest.param(dict(nu0=0.0), id="kw13"),
     ])
     def test_bad_offo_config(self, kw):
@@ -166,6 +121,6 @@ class TestConfigValidation:
             OffoConfig(**base)
 
     def test_good_config_roundtrip(self):
-        cfg = OffoConfig(degree=1, eps1=1e-3, beta=2.0 / 3.0)
+        cfg = OffoConfig(degree=1, eps1=1e-3)
         assert cfg.degree == 1
-        assert cfg.beta == pytest.approx(2.0 / 3.0)
+        assert cfg.eps1 == 1e-3
