@@ -12,7 +12,7 @@ import sys
 from . import harness
 from .bounds import problem_constants, theory_bounds
 from .problems import SUITE_NAMES, get_problem, make_suite
-from .solvers import RunStatus
+from .solvers import _THETA1, _THETA2, RunStatus
 from .worstcase import gen_first_order, gen_second_order, run_divergence
 
 
@@ -73,8 +73,9 @@ def _build_parser() -> _Parser:
     bounds.add_argument("--p", type=int, default=2)
     bounds.add_argument("--L", type=float, default=None)
     bounds.add_argument("--sigma0", type=float, default=1.0)
-    bounds.add_argument("--theta1", type=float, default=2.0)
-    bounds.add_argument("--theta2", type=float, default=None)
+    bounds.add_argument("--theta1", type=float, default=_THETA1)
+    bounds.add_argument("--theta2", type=float, default=None,
+                        help="default: the drivers' theta2 when --eps2 is given")
     bounds.add_argument("--vartheta", type=float, default=1e-3)
     bounds.add_argument("--eps1", type=float, default=1e-6)
     bounds.add_argument("--eps2", type=float, default=None)
@@ -182,9 +183,12 @@ def _cmd_bounds(args) -> int:
     else:
         constants = dict(L=args.L, kappa_high=args.kappa_high, g0_norm=args.g0_norm,
                          f0=args.f0, f_low=args.f_low)
+    theta2 = args.theta2
+    if theta2 is None and args.eps2 is not None:
+        theta2 = _THETA2
     report = theory_bounds(
         args.p, args.eps1, sigma0=args.sigma0, theta1=args.theta1,
-        vartheta=args.vartheta, theta2=args.theta2, eps2=args.eps2,
+        vartheta=args.vartheta, theta2=theta2, eps2=args.eps2,
         allow_partial=True, **constants)
     print(f"k_star={report.k_star} k_star_raw={report.k_star_raw!r}")
     print(f"eta={report.eta!r} kappa1={report.kappa1!r}")

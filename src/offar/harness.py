@@ -125,8 +125,10 @@ def run_bench(
     algorithms = tuple(algorithms)
     levels = tuple(levels)
     seeds = tuple(seeds)
-    if not seeds:
-        raise ValueError("need at least one seed")
+    for label, values in (("problem", oracles), ("algorithm", algorithms),
+                          ("noise level", levels), ("seed", seeds)):
+        if not values:
+            raise ValueError(f"need at least one {label}")
     names = tuple(p.name for p in oracles)
 
     eps_by_level = {

@@ -497,11 +497,12 @@ NOISE_TARGETS = frozenset({"function", "gradient", "hessian"})
 class NoiseSpec:
     """Multiplicative Gaussian noise: q -> q (1 + level z), z ~ N(0,1).
 
-    Evaluation number `count` of a wrapped oracle makes one standard_normal
-    draw from the stream of np.random.default_rng((seed, count)), bit for
-    bit, and spends it in a fixed order: function scalar, gradient entries,
-    Hessian upper triangle (each only where targeted and present).  So a run
-    replays bit-identically, and level 0 is an exact passthrough.
+    Each wrapper reads one np.random.default_rng(seed) stream: every
+    evaluation makes one standard_normal draw from it and spends it in a
+    fixed order: function scalar, gradient entries, Hessian upper triangle
+    (each only where targeted and present).  So the same spec and the same
+    sequence of calls replay bit-identically, and level 0 is an exact
+    passthrough.  A negative seed raises numpy's ValueError in add_noise.
     """
 
     level: float
@@ -527,101 +528,17 @@ def _mirror(n: int) -> Array:
     return mirror
 
 
-# The constants of numpy's SeedSequence hash (numpy/random/bit_generator.pyx)
-# and the 128-bit multiplier of PCG64 (O'Neill 2014).
-_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
-_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-_MASK32 = 0xFFFFFFFF
-_MASK128 = (1 << 128) - 1
-# Counts hashed at once; a power of two, so no block straddles 2^32.
-_STREAM_BLOCK = 256
-
-
-def _seed_words(seed: int, start: int) -> list[list[int]]:
-    """For each count in [start, start + _STREAM_BLOCK), the four 64-bit words
-    of SeedSequence((seed, count)).generate_state(4, np.uint64): numpy's
-    hash of the entropy words [seed, count], vectorized over the counts.
-    seed and every count must lie in [0, 2^32).  uint32 arrays wrap on
-    overflow as the C code does; the hash constants stay Python ints."""
-    const = _INIT_A
-
-    def hashmix(value):
-        nonlocal const
-        value = value ^ const
-        const = const * _MULT_A & _MASK32
-        value *= const
-        value ^= value >> 16
-        return value
-
-    def mix(x, y):  # in place: x is the pool word it replaces, y a fresh hash
-        x *= _MIX_L
-        y *= _MIX_R
-        x -= y
-        x ^= x >> 16
-        return x
-
-    counts = (start + np.arange(_STREAM_BLOCK, dtype=np.int64)).astype(np.uint32)
-    zeros = np.zeros(_STREAM_BLOCK, dtype=np.uint32)
-    pool = [hashmix(word) for word in (zeros + seed, counts, zeros, zeros)]
-    for src in range(4):
-        for dst in range(4):
-            if src != dst:
-                pool[dst] = mix(pool[dst], hashmix(pool[src]))
-    words = np.empty((_STREAM_BLOCK, 8), dtype=np.uint32)
-    const = _INIT_B
-    for i in range(8):
-        value = pool[i % 4] ^ const
-        const = const * _MULT_B & _MASK32
-        value *= const
-        value ^= value >> 16
-        words[:, i] = value
-    return words.astype("<u4").view("<u8").tolist()
-
-
 class _NoisyEvaluator:
-    """Noise for one wrapped oracle, with one reused PCG64 generator.
-
-    Evaluation `count` draws from the generator that
-    np.random.default_rng((seed, count)) would build, without building it:
-    the SeedSequence hash is done for a block of counts at a time, and the
-    128-bit PCG64 seeding step only for the counts the run reaches.  A seed
-    or count that is not one 32-bit word takes default_rng itself, which
-    also raises numpy's ValueError for a negative seed.
-    """
+    """Noise for one wrapped oracle, drawn from its own default_rng(spec.seed):
+    one standard_normal draw per evaluation, spent in NoiseSpec's order."""
 
     def __init__(self, inner, spec: NoiseSpec):
         self.inner = inner
         self.spec = spec
-        self.count = 0
-        self.seed = int(spec.seed)
-        self.block = -1
-        self.words = None
-        self.rng = np.random.Generator(np.random.PCG64(0))
-
-    def generator(self, count: int) -> np.random.Generator:
-        """The generator default_rng((seed, count)) returns, in its fresh state."""
-        if not (0 <= self.seed <= _MASK32 and count <= _MASK32):
-            return np.random.default_rng((self.seed, count))
-        block, j = divmod(count, _STREAM_BLOCK)
-        if block != self.block:
-            self.words = _seed_words(self.seed, block * _STREAM_BLOCK)
-            self.block = block
-        # PCG64's seeding from (initstate, initseq): inc = 2 initseq + 1, then
-        # two LCG steps with initstate added in between.
-        s_hi, s_lo, i_hi, i_lo = self.words[j]
-        inc = ((i_hi << 65) | (i_lo << 1) | 1) & _MASK128
-        state = ((inc + ((s_hi << 64) | s_lo)) * _PCG_MULT + inc) & _MASK128
-        self.rng.bit_generator.state = {"bit_generator": "PCG64",
-                                        "state": {"state": state, "inc": inc},
-                                        "has_uint32": 0, "uinteger": 0}
-        return self.rng
+        self.rng = np.random.default_rng(spec.seed)
 
     def __call__(self, x: Array) -> DerivativeBundle:
         bundle = self.inner(x)
-        count = self.count
-        self.count += 1
         spec = self.spec
         if spec.level == 0.0:
             return bundle
@@ -632,7 +549,7 @@ class _NoisyEvaluator:
         n = g.size
         # One draw for the whole bundle equals separate draws in this order.
         size = noise_f + (n if noise_g else 0) + (n * (n + 1) // 2 if noise_h else 0)
-        fac = 1.0 + spec.level * self.generator(count).standard_normal(size)
+        fac = 1.0 + spec.level * self.rng.standard_normal(size)
         i = 0
         if noise_f:
             f = f * fac[0]
@@ -643,14 +560,14 @@ class _NoisyEvaluator:
         if noise_h:
             # DerivativeBundle Hessians are exactly symmetric, so scaling each
             # entry by its triangle twin's factor mirrors the noised triangle.
-            # + 0.0 turns -0.0 into +0.0, keeping the noisy Hessians of recorded
-            # runs (tests/data/fingerprints.json) bit for bit.
+            # + 0.0 turns -0.0 into +0.0, as the three-term build
+            # Hn + Hn.T - diag(Hn) of the noised triangle Hn does.
             H = H * fac[i:].take(_mirror(n)) + 0.0
         return DerivativeBundle(gradient=g, hessian=H, fvalue=f)
 
 
 def add_noise(oracle: ProblemOracle, spec: NoiseSpec) -> ProblemOracle:
-    """Wrap an oracle with a private noise stream (fresh counter per wrapper)."""
+    """Wrap an oracle with a private noise stream, seeded from spec.seed."""
     return ProblemOracle(
         name=oracle.name,
         n=oracle.n,

@@ -7,9 +7,9 @@ import numpy as np
 import pytest
 
 from _checks import check_offo_invariants
-from offar import (Ar2Config, DerivativeBundle, OffoConfig, ProblemMeta,
-                   ProblemOracle, RunStatus, get_problem, run_ar2, run_moffar,
-                   run_offar, run_single, solve_p2, solvers)
+from offar import (Ar2Config, DerivativeBundle, NoiseSpec, OffoConfig,
+                   ProblemMeta, ProblemOracle, RunStatus, add_noise, get_problem,
+                   run_ar2, run_moffar, run_offar, run_single, solve_p2, solvers)
 
 
 def quadratic_oracle(A, b, x0, name="quad"):
@@ -161,19 +161,23 @@ class TestOverflow:
         assert len(out.trace) == 1
         assert math.isnan(out.trace.column("grad_norm")[0])
 
-    @pytest.mark.parametrize("algorithm", ["offar2a", "offar2b", "moffar2", "ar2"])
-    @pytest.mark.parametrize("explode_at", [0, 1])
-    def test_gradient_norm_overflow(self, algorithm, explode_at):
-        # Finite entries whose norm overflows: at the start, after one step
-        # (offar2a, offar2b, moffar2) or on the trial point (ar2).
+    @staticmethod
+    def oracle_huge(explode_at):
+        # Finite entries whose norm overflows from evaluation explode_at on.
         calls = itertools.count()
 
         def ev(x):
             g = [1e200, 1e200] if next(calls) >= explode_at else [1.0, 0.5]
             return DerivativeBundle(np.array(g), np.eye(2), 0.0)
 
-        po = ProblemOracle("huge", 2, np.zeros(2), ev, ProblemMeta())
-        out = run_single(po, algorithm, eps1=1e-6)
+        return ProblemOracle("huge", 2, np.zeros(2), ev, ProblemMeta())
+
+    @pytest.mark.parametrize("algorithm", ["offar2a", "offar2b", "moffar2", "ar2"])
+    @pytest.mark.parametrize("explode_at", [0, 1])
+    def test_gradient_norm_overflow(self, algorithm, explode_at):
+        # At the start, after one step (offar2a, offar2b, moffar2) or on the
+        # trial point (ar2).
+        out = run_single(self.oracle_huge(explode_at), algorithm, eps1=1e-6)
         assert out.status == RunStatus.ORACLE_OVERFLOW
         assert out.iterations == explode_at
         assert len(out.trace) == out.iterations + 1
@@ -181,11 +185,11 @@ class TestOverflow:
             assert out.final_min_eig is None
 
     def test_gradient_norm_overflow_in_noisy_ar2(self):
-        # Noisy gradients grow until a trial gradient's norm overflows float64
-        # while its entries stay finite.
-        out = run_single(get_problem("beale"), "ar2", eps1=1e-3, noise_level=0.5,
-                         seed=19, max_iter=2000)
+        # The overflowing trial gradient reaches ar2 through the noise wrapper.
+        noisy = add_noise(self.oracle_huge(1), NoiseSpec(level=0.5, seed=1))
+        out = run_ar2(noisy, Ar2Config(eps1=1e-6))
         assert out.status == RunStatus.ORACLE_OVERFLOW
+        assert out.iterations == 1
         assert len(out.trace) == out.iterations + 1
 
     def test_nonfinite_fvalue_alone_is_not_overflow(self):

@@ -133,6 +133,15 @@ class TestRunBench:
         with pytest.raises(ValueError):
             run_bench([get_problem("cube")], ("offar2a",), (0.0,), ())
 
+    @pytest.mark.parametrize("empty,label", [
+        ("oracles", "problem"), ("algorithms", "algorithm"), ("levels", "noise level")])
+    def test_needs_a_problem_an_algorithm_and_a_level(self, empty, label):
+        lists = dict(oracles=[get_problem("cube")], algorithms=("offar2a",),
+                     levels=(0.0,), seeds=(1,))
+        lists[empty] = ()
+        with pytest.raises(ValueError, match=f"need at least one {label}"):
+            run_bench(**lists)
+
 
 class TestCsvWriters:
     @pytest.fixture
@@ -212,6 +221,10 @@ class TestCli:
         ["run", "--problem", "cube", "--alg", "ar2", "--strict"],
         ["run", "--problem", "cube", "--alg", "ar2", "--nu0", "1"],
         ["run", "--problem", "cube", "--alg", "offar1", "--sigma0", "2"],
+        # empty lists: no algorithm, no problem, no noise level
+        ["bench", "--alg", "", "--problems", "cube"],
+        ["bench", "--alg", "offar2a", "--problems", ","],
+        ["bench", "--alg", "offar2a", "--problems", "cube", "--noise", ""],
     ])
     def test_usage_errors(self, argv, capsys):
         assert main(argv) == 1
@@ -259,6 +272,14 @@ class TestCli:
         assert code == 0
         out = capsys.readouterr().out
         assert "bound_first_order=" in out
+
+    def test_bounds_eps2_alone_uses_the_drivers_theta2(self, capsys):
+        argv = ["bounds", "--problem", "tridia", "--p", "2", "--eps2", "1e-2"]
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        assert "bound_second_order=" in out and "partial report" not in out
+        assert main(argv + ["--theta2", "2"]) == 0
+        assert capsys.readouterr().out == out
 
     def test_bounds_problem_without_constant(self, capsys):
         assert main(["bounds", "--problem", "rosenbr"]) == 1

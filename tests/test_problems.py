@@ -9,7 +9,7 @@ from offar import (Ar2Config, NoiseSpec, ProblemMeta, ProblemOracle,
                    SUITE_NAMES, add_noise, get_problem, make_suite, run_ar2,
                    validate_derivatives)
 from offar.model import DerivativeBundle
-from offar.problems import _STREAM_BLOCK, _NoisyEvaluator, _bundle
+from offar.problems import _bundle
 
 
 class TestSuiteComposition:
@@ -196,11 +196,10 @@ class TestNoise:
             NoiseSpec(level=0.1, seed=0, targets=frozenset({"jacobian"}))
 
     @staticmethod
-    def three_term_noise(bundle, spec, count):
-        """The wrapper's original build: one draw each for the function scalar,
-        the gradient and the Hessian's upper triangle Hn, which is mirrored
-        as Hn + Hn.T - diag(Hn)."""
-        rng = np.random.default_rng((int(spec.seed), count))
+    def three_term_noise(bundle, spec, rng):
+        """The wrapper's original build from the reference stream rng: one
+        draw each for the function scalar, the gradient and the Hessian's
+        upper triangle Hn, which is mirrored as Hn + Hn.T - diag(Hn)."""
         f = bundle.fvalue * (1.0 + spec.level * rng.standard_normal())
         g = bundle.gradient * (1.0 + spec.level * rng.standard_normal(bundle.n))
         iu = np.triu_indices(bundle.n)
@@ -218,9 +217,9 @@ class TestNoise:
         x[1::2] = 0.0
         spec = NoiseSpec(level=1.0, seed=3)
         noisy = add_noise(clean, spec)
-        ref = clean.evaluate(x)
-        for count in range(40):
-            new, old = noisy.evaluate(x), self.three_term_noise(ref, spec, count)
+        ref, rng = clean.evaluate(x), np.random.default_rng(spec.seed)
+        for _ in range(40):
+            new, old = noisy.evaluate(x), self.three_term_noise(ref, spec, rng)
             assert new.fvalue == old.fvalue
             assert new.gradient.tobytes() == old.gradient.tobytes()
             assert new.hessian.tobytes() == old.hessian.tobytes()
@@ -237,52 +236,42 @@ class TestNoise:
 
 
 class TestNoiseStreams:
-    """The wrapper draws exactly what np.random.default_rng((seed, count)) does."""
+    """Each wrapper reads one np.random.default_rng(seed) stream in order."""
 
-    # Count 0, every block edge +-1 of the first three blocks, the last count
-    # the block hash covers and the edge below it.
-    COUNTS = sorted(
-        {0, 1, 2**31, 2**32 - _STREAM_BLOCK - 1, 2**32 - _STREAM_BLOCK, 2**32 - 1}
-        | {b * _STREAM_BLOCK + d for b in (1, 2, 3) for d in (-1, 0, 1)})
-
-    @staticmethod
-    def assert_same_draws(seed, counts):
-        ev = _NoisyEvaluator(None, NoiseSpec(level=0.1, seed=seed))
-        for count in counts:
-            ours = ev.generator(count).standard_normal(79)
-            ref = np.random.default_rng((int(seed), count)).standard_normal(79)
-            assert ours.tobytes() == ref.tobytes(), (seed, count)
-
-    @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, np.int64(7)])
+    @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, np.int64(7), 2**64 + 3])
     def test_draws_match_default_rng(self, seed):
-        self.assert_same_draws(seed, self.COUNTS)
-        self.assert_same_draws(seed, reversed(self.COUNTS))  # blocks refill going back
-
-    @pytest.mark.parametrize("seed", [2**32, 2**64 + 3])
-    def test_wide_seeds_take_the_fallback(self, seed):
-        self.assert_same_draws(seed, [0, 1, _STREAM_BLOCK, 2**32 - 1, 2**32])
-
-    def test_wide_counts_take_the_fallback(self):
-        self.assert_same_draws(5, [2**32, 2**32 + 1, 2**40])
+        # A gradient of ones comes back as its factors 1 + level z.
+        ones = ProblemOracle("ones", 79, np.zeros(79),
+                             lambda x: DerivativeBundle(np.ones(79), None, None))
+        spec = NoiseSpec(level=0.1, seed=seed)
+        noisy, ref = add_noise(ones, spec), np.random.default_rng(seed)
+        for _ in range(5):
+            ours = noisy.evaluate(noisy.x0).gradient
+            assert ours.tobytes() == (1.0 + 0.1 * ref.standard_normal(79)).tobytes()
 
     def test_negative_seed_raises(self):
-        noisy = add_noise(get_problem("cube"), NoiseSpec(level=0.1, seed=-1))
         with pytest.raises(ValueError):
-            noisy.evaluate(noisy.x0)
+            add_noise(get_problem("cube"), NoiseSpec(level=0.1, seed=-1))
 
-    def test_long_run_matches_default_rng_streams(self, monkeypatch):
-        # The fingerprint grid stops runs at 200 iterations, inside the first
-        # block; this ar2 run spans more than three.
-        def run():
-            problem = add_noise(get_problem("woods"), NoiseSpec(level=0.5, seed=3))
-            outcome = run_ar2(problem, Ar2Config(eps1=1e-3, max_iter=1000))
-            assert problem.evaluator.count > 3 * _STREAM_BLOCK
-            return outcome.trace
+    def test_long_run_matches_default_rng_streams(self):
+        # One draw of 1 + n + n(n+1)/2 normals per evaluation and no other:
+        # after a 1000-iteration ar2 run the wrapper's stream stands where
+        # default_rng(seed) stands after that many normals.
+        clean = get_problem("woods")
+        calls = []
 
-        blocks = run()
-        monkeypatch.setattr(_NoisyEvaluator, "generator",
-                            lambda self, count: np.random.default_rng((self.seed, count)))
-        assert blocks.equals(run())
+        def counted(x):
+            calls.append(1)
+            return clean.evaluator(x)
+
+        spec = NoiseSpec(level=0.5, seed=3)
+        problem = add_noise(ProblemOracle("woods", clean.n, clean.x0, counted), spec)
+        run_ar2(problem, Ar2Config(eps1=1e-3, max_iter=1000))
+        n = clean.n
+        ref = np.random.default_rng(spec.seed)
+        ref.standard_normal(len(calls) * (1 + n + n * (n + 1) // 2))
+        assert len(calls) > 1000
+        assert problem.evaluator.rng.bit_generator.state == ref.bit_generator.state
 
 
 class TestMemo:
