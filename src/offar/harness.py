@@ -119,17 +119,21 @@ def run_bench(
 
     eps1 = None picks the tolerance per level (1e-6 clean, 1e-3 noisy).
     Level 0 is deterministic, so it runs once regardless of the seed list
-    and feeds the performance profile.
+    and feeds the performance profile.  A value listed twice in any of the
+    four lists raises ValueError, as does an empty list.
     """
     oracles = list(oracles) if oracles is not None else make_suite()
     algorithms = tuple(algorithms)
     levels = tuple(levels)
     seeds = tuple(seeds)
-    for label, values in (("problem", oracles), ("algorithm", algorithms),
+    names = tuple(p.name for p in oracles)
+    for label, values in (("problem", names), ("algorithm", algorithms),
                           ("noise level", levels), ("seed", seeds)):
         if not values:
             raise ValueError(f"need at least one {label}")
-    names = tuple(p.name for p in oracles)
+        repeated = [v for i, v in enumerate(values) if v in values[:i]]
+        if repeated:
+            raise ValueError(f"{label} {repeated[0]!r} is listed twice")
 
     eps_by_level = {
         level: (eps1 if eps1 is not None else (EPS_CLEAN if level == 0.0 else EPS_NOISY))

@@ -1,9 +1,25 @@
 """Desk-scale smooth test problems with exact gradients and Hessians.
 
-Each oracle returns a DerivativeBundle (f, g, H) from plain numpy formulas.
-Dimensions are fixed per problem; every problem declares a safe box around
-its start point on which the evaluator is finite and the analytic
-derivatives can be validated against central finite differences.
+Each oracle returns a DerivativeBundle (f, g, H).  Dimensions are fixed per
+problem; every problem declares a safe box around its start point on which
+the evaluator is finite and the analytic derivatives can be validated
+against central finite differences.
+
+At n <= 12 a numpy call costs more than its arithmetic, so the formulas read
+x once with x.tolist(), compute in Python floats and build g and H once at
+the end.  They give, bit for bit, what the same formula written on numpy
+arrays gives (tests/data/oracle_values.json pins them), and a new formula
+keeps the three rules that make that so:
+
+- A square of an array's entries is a * a, as numpy squares arrays; a power
+  of one numpy scalar is libm pow, _pow(a, k), as numpy scalars compute it.
+- A cube, a fourth power or a power with an array exponent stays one numpy
+  call on an array, read back with .tolist(): numpy's vectorized pow differs
+  from libm pow in the last bit on some inputs.
+- A sum goes through _sum, numpy's summation order; a matrix product stays
+  a BLAS call.
+
+The one difference left is which NaN a sum of several NaNs returns.
 
 tridia is the only member with a globally Lipschitz Hessian (it is a convex
 quadratic, so L2 = 0 and L1 = lambda_max(H)); the quartic and transcendental
@@ -15,6 +31,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -79,106 +96,153 @@ def _bundle(fn):
     return evaluator
 
 
+def _pow(a: float, k: int) -> float:
+    """a ** k by libm pow, as numpy computes a power of a float64 scalar,
+    and inf where that overflows; a Python float power raises OverflowError."""
+    try:
+        return a**k
+    except OverflowError:
+        return math.copysign(math.inf, a) if k % 2 else math.inf
+
+
+def _sum(terms: list) -> float:
+    """float(np.sum(terms)) bit for bit below 128 terms, where numpy adds
+    fewer than 8 in order from +0.0 and more in eight interleaved partial
+    sums, combined pairwise before the tail is added and the total added to
+    +0.0.  Longer lists get the same scheme, which numpy splits in halves."""
+    n = len(terms)
+    if n < 8:
+        total = 0.0
+        for t in terms:
+            total += t
+        return total
+    r = terms[:8]
+    tail = n - n % 8
+    for i in range(8, tail, 8):
+        r = [a + b for a, b in zip(r, terms[i : i + 8])]
+    total = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+    for t in terms[tail:]:
+        total += t
+    return 0.0 + total
+
+
+def _matrix(n: int, index: Array, values: list) -> Array:
+    """The n x n matrix that holds values at the flat positions index, 0.0 elsewhere."""
+    H = np.zeros(n * n)
+    H[index] = values
+    return H.reshape(n, n)
+
+
+@functools.cache
+def _band(n: int) -> Array:
+    """Flat positions of the diagonal, the superdiagonal and the subdiagonal."""
+    d = np.arange(n) * (n + 1)
+    return np.concatenate((d, d[:-1] + 1, d[:-1] + n))
+
+
+@functools.cache
+def _blocks(n: int) -> Array:
+    """Flat positions of the n // 4 diagonal 4 x 4 blocks, each row by row."""
+    i = np.arange(4)
+    block = (i[:, None] * n + i).ravel()
+    return np.concatenate([block + 4 * k * (n + 1) for k in range(n // 4)])
+
+
+@functools.cache
+def _arrow(n: int) -> Array:
+    """Flat positions of the diagonal, the last column, then the last row."""
+    i = np.arange(n - 1)
+    return np.concatenate((np.arange(n) * (n + 1), i * n + n - 1, (n - 1) * n + i))
+
+
 def _rosenbrock(x):
     """Chained Rosenbrock: sum 100 (x_{i+1} - x_i^2)^2 + (1 - x_i)^2."""
-    n = x.size
-    r = x[1:] - x[:-1] ** 2
-    f = float(100.0 * np.sum(r**2) + np.sum((1.0 - x[:-1]) ** 2))
-    g = np.zeros(n)
-    g[:-1] = -400.0 * x[:-1] * r - 2.0 * (1.0 - x[:-1])
-    g[1:] += 200.0 * r
-    H = np.zeros((n, n))
-    d = np.zeros(n)
-    d[:-1] = 1200.0 * x[:-1] ** 2 - 400.0 * x[1:] + 2.0
-    d[1:] += 200.0
-    H[np.arange(n), np.arange(n)] = d
-    off = -400.0 * x[:-1]
-    H[np.arange(n - 1), np.arange(1, n)] = off
-    H[np.arange(1, n), np.arange(n - 1)] = off
-    return f, g, H
+    v = x.tolist()
+    n = len(v)
+    head, tail = v[:-1], v[1:]
+    r = [b - a * a for a, b in zip(head, tail)]
+    u = [1.0 - a for a in head]
+    f = 100.0 * _sum([t * t for t in r]) + _sum([t * t for t in u])
+    lead = [-400.0 * a * t - 2.0 * w for a, t, w in zip(head, r, u)] + [0.0]
+    g = lead[:1] + [p + 200.0 * t for p, t in zip(lead[1:], r)]
+    d = [1200.0 * (a * a) - 400.0 * b + 2.0 for a, b in zip(head, tail)] + [0.0]
+    diag = d[:1] + [t + 200.0 for t in d[1:]]
+    off = [-400.0 * a for a in head]
+    return f, np.array(g), _matrix(n, _band(n), diag + off + off)
 
 
 def _cube(x):
     """(x1 - 1)^2 + 100 (x2 - x1^3)^2."""
-    r = x[1] - x[0] ** 3
-    f = float((x[0] - 1.0) ** 2 + 100.0 * r**2)
-    g = np.array([2.0 * (x[0] - 1.0) - 600.0 * x[0] ** 2 * r, 200.0 * r])
-    H = np.array(
-        [
-            [2.0 - 1200.0 * x[0] * r + 1800.0 * x[0] ** 4, -600.0 * x[0] ** 2],
-            [-600.0 * x[0] ** 2, 200.0],
-        ]
-    )
+    x1, x2 = x.tolist()
+    r = x2 - _pow(x1, 3)
+    f = _pow(x1 - 1.0, 2) + 100.0 * _pow(r, 2)
+    g = np.array([2.0 * (x1 - 1.0) - 600.0 * _pow(x1, 2) * r, 200.0 * r])
+    h12 = -600.0 * _pow(x1, 2)
+    H = np.array([[2.0 - 1200.0 * x1 * r + 1800.0 * _pow(x1, 4), h12], [h12, 200.0]])
     return f, g, H
 
 
-_BEALE_C = np.array([1.5, 2.25, 2.625])
+_BEALE_C = (1.5, 2.25, 2.625)
+# x2^j, x2^(j-1) and x2^max(j-2, 0) for j = 1, 2, 3; the last keeps the j = 1
+# term of d22, 0 * x2^-1, at 0 on x2 = 0.
+_BEALE_POWERS = np.array([1.0, 2.0, 3.0, 0.0, 1.0, 2.0, 0.0, 0.0, 1.0])
 
 
 def _beale(x):
     """sum_j (c_j - x1 (1 - x2^j))^2 with c = (1.5, 2.25, 2.625)."""
-    j = np.array([1.0, 2.0, 3.0])
-    pj = x[1] ** j
-    r = _BEALE_C - x[0] * (1.0 - pj)
-    dr1 = -(1.0 - pj)
-    dr2 = x[0] * j * x[1] ** (j - 1.0)
-    f = float(np.sum(r**2))
-    g = 2.0 * np.array([np.sum(r * dr1), np.sum(r * dr2)])
-    d12 = j * x[1] ** (j - 1.0)
-    # The j = 1 term is 0 * x2^-1; the exponent max(j-2, 0) keeps it 0 at x2 = 0.
-    d22 = x[0] * j * (j - 1.0) * x[1] ** np.maximum(j - 2.0, 0.0)
-    H = np.zeros((2, 2))
-    H[0, 0] = 2.0 * np.sum(dr1 * dr1)
-    H[0, 1] = H[1, 0] = 2.0 * np.sum(dr1 * dr2 + r * d12)
-    H[1, 1] = 2.0 * np.sum(dr2 * dr2 + r * d22)
+    x1, x2 = x.tolist()
+    pw = (x2**_BEALE_POWERS).tolist()
+    j = (1.0, 2.0, 3.0)
+    r = [c - x1 * (1.0 - p) for c, p in zip(_BEALE_C, pw[0:3])]
+    dr1 = [-(1.0 - p) for p in pw[0:3]]
+    dr2 = [x1 * k * p for k, p in zip(j, pw[3:6])]
+    d12 = [k * p for k, p in zip(j, pw[3:6])]
+    d22 = [x1 * k * (k - 1.0) * p for k, p in zip(j, pw[6:9])]
+    f = _sum([t * t for t in r])
+    g = np.array([2.0 * _sum([a * b for a, b in zip(r, dr1)]),
+                  2.0 * _sum([a * b for a, b in zip(r, dr2)])])
+    h12 = 2.0 * _sum([a * b + t * c for a, b, t, c in zip(dr1, dr2, r, d12)])
+    H = np.array([[2.0 * _sum([a * a for a in dr1]), h12],
+                  [h12, 2.0 * _sum([a * a + t * c for a, t, c in zip(dr2, r, d22)])]])
     return f, g, H
 
 
 def _powell_singular(x):
     """Groups of 4: (a+10b)^2 + 5(c-d)^2 + (b-2c)^4 + 10(a-d)^4."""
-    n = x.size
-    a, b, c, d = x[0::4], x[1::4], x[2::4], x[3::4]
-    t1 = a + 10.0 * b
-    t2 = c - d
-    t3 = b - 2.0 * c
-    t4 = a - d
-    f = float(np.sum(t1**2 + 5.0 * t2**2 + t3**4 + 10.0 * t4**4))
-    g = np.zeros(n)
-    g[0::4] = 2.0 * t1 + 40.0 * t4**3
-    g[1::4] = 20.0 * t1 + 4.0 * t3**3
-    g[2::4] = 10.0 * t2 - 8.0 * t3**3
-    g[3::4] = -10.0 * t2 - 40.0 * t4**3
-    H = np.zeros((n, n))
-    for grp in range(n // 4):
-        i = 4 * grp
-        q3 = 12.0 * t3[grp] ** 2
-        q4 = 120.0 * t4[grp] ** 2
-        blk = np.array(
-            [
-                [2.0 + q4, 20.0, 0.0, -q4],
-                [20.0, 200.0 + q3, -2.0 * q3, 0.0],
-                [0.0, -2.0 * q3, 10.0 + 4.0 * q3, -10.0],
-                [-q4, 0.0, -10.0, 10.0 + q4],
-            ]
-        )
-        H[i : i + 4, i : i + 4] = blk
-    return f, g, H
+    v = x.tolist()
+    n = len(v)
+    a, b, c, d = v[0::4], v[1::4], v[2::4], v[3::4]
+    t1 = [p + 10.0 * q for p, q in zip(a, b)]
+    t2 = [p - q for p, q in zip(c, d)]
+    t3 = [p - 2.0 * q for p, q in zip(b, c)]
+    t4 = [p - q for p, q in zip(a, d)]
+    m = len(t3)
+    t34 = np.array(t3 + t4)
+    cubes, quarts = (t34**3).tolist(), (t34**4).tolist()
+    f = _sum([p * p + 5.0 * (q * q) + s + 10.0 * w
+              for p, q, s, w in zip(t1, t2, quarts[:m], quarts[m:])])
+    g, blocks = [], []
+    for p, q, s, w, c3, c4 in zip(t1, t2, t3, t4, cubes[:m], cubes[m:]):
+        g += [2.0 * p + 40.0 * c4, 20.0 * p + 4.0 * c3, 10.0 * q - 8.0 * c3, -10.0 * q - 40.0 * c4]
+        q3 = 12.0 * _pow(s, 2)
+        q4 = 120.0 * _pow(w, 2)
+        blocks += [2.0 + q4, 20.0, 0.0, -q4,
+                   20.0, 200.0 + q3, -2.0 * q3, 0.0,
+                   0.0, -2.0 * q3, 10.0 + 4.0 * q3, -10.0,
+                   -q4, 0.0, -10.0, 10.0 + q4]
+    return f, np.array(g), _matrix(n, _blocks(n), blocks)
 
 
 def _broyden3d(x):
     """Tridiagonal Broyden system residuals, squared and summed."""
-    n = x.size
-    xm = np.concatenate(([0.0], x[:-1]))
-    xp = np.concatenate((x[1:], [0.0]))
-    r = (3.0 - 2.0 * x) * x - xm - 2.0 * xp + 1.0
-    f = float(np.sum(r**2))
-    J = np.zeros((n, n))
-    J[np.arange(n), np.arange(n)] = 3.0 - 4.0 * x
-    J[np.arange(1, n), np.arange(n - 1)] = -1.0
-    J[np.arange(n - 1), np.arange(1, n)] = -2.0
-    g = 2.0 * (J.T @ r)
+    v = x.tolist()
+    n = len(v)
+    r = [(3.0 - 2.0 * a) * a - p - 2.0 * q + 1.0 for a, p, q in zip(v, [0.0] + v[:-1], v[1:] + [0.0])]
+    f = _sum([t * t for t in r])
+    J = _matrix(n, _band(n), [3.0 - 4.0 * a for a in v] + [-2.0] * (n - 1) + [-1.0] * (n - 1))
+    g = 2.0 * (J.T @ np.array(r))
     H = 2.0 * (J.T @ J)
-    H[np.arange(n), np.arange(n)] += 2.0 * r * (-4.0)
+    H.flat[:: n + 1] += [2.0 * t * (-4.0) for t in r]
     return f, g, H
 
 
@@ -207,130 +271,131 @@ def _tridia(x):
 
 def _arwhead(x):
     """sum_{i<n} (x_i^2 + x_n^2)^2 - 4 x_i + 3."""
-    n = x.size
-    head = x[:-1]
-    t = head**2 + x[-1] ** 2
-    f = float(np.sum(t**2 - 4.0 * head + 3.0))
-    g = np.zeros(n)
-    g[:-1] = 4.0 * head * t - 4.0
-    g[-1] = 4.0 * x[-1] * np.sum(t)
-    H = np.zeros((n, n))
-    H[np.arange(n - 1), np.arange(n - 1)] = 4.0 * t + 8.0 * head**2
-    H[:-1, -1] = H[-1, :-1] = 8.0 * head * x[-1]
-    H[-1, -1] = np.sum(4.0 * t + 8.0 * x[-1] ** 2)
-    return f, g, H
+    v = x.tolist()
+    n = len(v)
+    head, z = v[:-1], v[-1]
+    z2 = _pow(z, 2)
+    t = [a * a + z2 for a in head]
+    f = _sum([s * s - 4.0 * a + 3.0 for s, a in zip(t, head)])
+    g = [4.0 * a * s - 4.0 for a, s in zip(head, t)] + [4.0 * z * _sum(t)]
+    diag = [4.0 * s + 8.0 * (a * a) for s, a in zip(t, head)]
+    diag.append(_sum([4.0 * s + 8.0 * z2 for s in t]))
+    cross = [8.0 * a * z for a in head]
+    return f, np.array(g), _matrix(n, _arrow(n), diag + cross + cross)
 
 
 def _engval1(x):
     """sum_{i<n} (x_i^2 + x_{i+1}^2)^2 - 4 x_i + 3."""
-    n = x.size
-    t = x[:-1] ** 2 + x[1:] ** 2
-    f = float(np.sum(t**2 - 4.0 * x[:-1] + 3.0))
-    g = np.zeros(n)
-    g[:-1] = 4.0 * x[:-1] * t - 4.0
-    g[1:] += 4.0 * x[1:] * t
-    H = np.zeros((n, n))
-    d = np.zeros(n)
-    d[:-1] = 4.0 * t + 8.0 * x[:-1] ** 2
-    d[1:] += 4.0 * t + 8.0 * x[1:] ** 2
-    H[np.arange(n), np.arange(n)] = d
-    off = 8.0 * x[:-1] * x[1:]
-    H[np.arange(n - 1), np.arange(1, n)] = off
-    H[np.arange(1, n), np.arange(n - 1)] = off
-    return f, g, H
+    v = x.tolist()
+    n = len(v)
+    head, tail = v[:-1], v[1:]
+    t = [a * a + b * b for a, b in zip(head, tail)]
+    f = _sum([s * s - 4.0 * a + 3.0 for s, a in zip(t, head)])
+    lead = [4.0 * a * s - 4.0 for a, s in zip(head, t)] + [0.0]
+    g = lead[:1] + [p + 4.0 * b * s for p, b, s in zip(lead[1:], tail, t)]
+    d = [4.0 * s + 8.0 * (a * a) for s, a in zip(t, head)] + [0.0]
+    diag = d[:1] + [p + (4.0 * s + 8.0 * (b * b)) for p, b, s in zip(d[1:], tail, t)]
+    off = [8.0 * a * b for a, b in zip(head, tail)]
+    return f, np.array(g), _matrix(n, _band(n), diag + off + off)
+
+
+@functools.cache
+def _dixmaana_index(n: int) -> Array:
+    """Flat positions of the diagonal, then (i, i+m) and its mirror for
+    i < 2m, then (i, i+2m) and its mirror for i < m, with m = n // 3."""
+    m = n // 3
+    i, k = np.arange(2 * m), np.arange(m)
+    return np.concatenate((np.arange(n) * (n + 1), i * n + i + m, (i + m) * n + i,
+                           k * n + k + 2 * m, (k + 2 * m) * n + k))
 
 
 def _dixmaana(x):
     """Dixon-Maany variant A: alpha=1, beta=0, gamma=delta=0.125, flat weights."""
-    n = x.size
+    v = x.tolist()
+    n = len(v)
     m = n // 3
     gamma, delta = 0.125, 0.125
-    f = 1.0 + float(np.sum(x**2))
-    f += gamma * float(np.sum(x[: 2 * m] ** 2 * x[m : 3 * m] ** 4))
-    f += delta * float(np.sum(x[:m] * x[2 * m : 3 * m]))
-    g = 2.0 * x
-    g[: 2 * m] += 2.0 * gamma * x[: 2 * m] * x[m : 3 * m] ** 4
-    g[m : 3 * m] += 4.0 * gamma * x[: 2 * m] ** 2 * x[m : 3 * m] ** 3
-    g[:m] += delta * x[2 * m : 3 * m]
-    g[2 * m : 3 * m] += delta * x[:m]
-    H = 2.0 * np.eye(n)
-    idx = np.arange(2 * m)
-    H[idx, idx] += 2.0 * gamma * x[m : 3 * m] ** 4
-    H[idx + m, idx + m] += 12.0 * gamma * x[: 2 * m] ** 2 * x[m : 3 * m] ** 2
-    cross = 8.0 * gamma * x[: 2 * m] * x[m : 3 * m] ** 3
-    H[idx, idx + m] += cross
-    H[idx + m, idx] += cross
-    i = np.arange(m)
-    H[i, i + 2 * m] += delta
-    H[i + 2 * m, i] += delta
-    return f, g, H
+    p3 = (x[m : 3 * m] ** 3).tolist()
+    p4 = (x[m : 3 * m] ** 4).tolist()
+    lo, mid, hi = v[: 2 * m], v[m : 3 * m], v[2 * m : 3 * m]
+    f = 1.0 + _sum([a * a for a in v])
+    f += gamma * _sum([a * a * p for a, p in zip(lo, p4)])
+    f += delta * _sum([a * b for a, b in zip(v[:m], hi)])
+    g = [2.0 * a for a in v]
+    g[: 2 * m] = [p + 2.0 * gamma * a * q for p, a, q in zip(g, lo, p4)]
+    g[m : 3 * m] = [p + 4.0 * gamma * (a * a) * q for p, a, q in zip(g[m:], lo, p3)]
+    g[:m] = [p + delta * b for p, b in zip(g, hi)]
+    g[2 * m : 3 * m] = [p + delta * a for p, a in zip(g[2 * m :], v[:m])]
+    diag = [2.0] * n
+    diag[: 2 * m] = [p + 2.0 * gamma * q for p, q in zip(diag, p4)]
+    diag[m : 3 * m] = [p + 12.0 * gamma * (a * a) * (b * b)
+                       for p, a, b in zip(diag[m:], lo, mid)]
+    # 0.0 + turns -0.0 into +0.0, as adding onto a zero entry does.
+    cross = [0.0 + 8.0 * gamma * a * q for a, q in zip(lo, p3)]
+    return f, np.array(g), _matrix(n, _dixmaana_index(n), diag + cross + cross + [delta] * (2 * m))
+
+
+@functools.cache
+def _nondquar_index(n: int) -> Array:
+    """Flat positions of the diagonal, (k, k+1) and its mirror for k < n-2,
+    then the last column and the last row without their corner."""
+    d = np.arange(n) * (n + 1)
+    k = np.arange(n - 1)
+    return np.concatenate((d, d[: n - 2] + 1, d[: n - 2] + n, k * n + n - 1, (n - 1) * n + k))
 
 
 def _nondquar(x):
     """(x1-x2)^2 + (x_{n-1}+x_n)^2 + sum (x_i + x_{i+1} + x_n)^4."""
-    n = x.size
-    t = x[:-2] + x[1:-1] + x[-1]
-    f = float((x[0] - x[1]) ** 2 + (x[-2] + x[-1]) ** 2 + np.sum(t**4))
-    g = np.zeros(n)
-    g[0] += 2.0 * (x[0] - x[1])
-    g[1] -= 2.0 * (x[0] - x[1])
-    g[-2] += 2.0 * (x[-2] + x[-1])
-    g[-1] += 2.0 * (x[-2] + x[-1])
-    c = 4.0 * t**3
-    g[:-2] += c
-    g[1:-1] += c
-    g[-1] += np.sum(c)
-    H = np.zeros((n, n))
-    H[0, 0] += 2.0
-    H[1, 1] += 2.0
-    H[0, 1] -= 2.0
-    H[1, 0] -= 2.0
-    H[-2, -2] += 2.0
-    H[-1, -1] += 2.0
-    H[-2, -1] += 2.0
-    H[-1, -2] += 2.0
-    q = 12.0 * t**2
-    for i in range(n - 2):
-        for a in (i, i + 1, n - 1):
-            for b in (i, i + 1, n - 1):
-                H[a, b] += q[i]
-    return f, g, H
+    v = x.tolist()
+    n = len(v)
+    z = v[-1]
+    t = np.array([a + b + z for a, b in zip(v[:-2], v[1:-1])])
+    c = [4.0 * p for p in (t**3).tolist()]
+    q = [12.0 * (s * s) for s in t.tolist()]
+    e, s = v[0] - v[1], v[-2] + z
+    f = _pow(e, 2) + _pow(s, 2) + _sum((t**4).tolist())
+    g = [0.0] * n
+    g[0] += 2.0 * e
+    g[1] -= 2.0 * e
+    g[-2] += 2.0 * s
+    g[-1] += 2.0 * s
+    g[:-2] = [p + a for p, a in zip(g, c)]
+    g[1:-1] = [p + a for p, a in zip(g[1:], c)]
+    g[-1] += _sum(c)
+    # Term i adds q_i to each entry among rows and columns i, i+1, n-1, so
+    # band entry k gets q_{k-1}, then q_k, after the squared terms' +-2.0.
+    # q >= 0, so no sum here is -0.0 and padding with 0.0 changes no bit.
+    before, after = [0.0] + q, q + [0.0]
+    corner = 2.0
+    for a in q:
+        corner += a
+    diag = [a + b + c for a, b, c in zip([2.0, 2.0] + [0.0] * (n - 4) + [2.0], before, after)]
+    off = [-2.0 + q[0]] + q[1:]
+    last = [a + b + c for a, b, c in zip([0.0] * (n - 2) + [2.0], before, after)]
+    return f, np.array(g), _matrix(n, _nondquar_index(n), diag + [corner] + off + off + last + last)
 
 
 def _woods(x):
     """Groups of 4 coupling two Rosenbrock-like valleys."""
-    n = x.size
-    a, b, c, d = x[0::4], x[1::4], x[2::4], x[3::4]
-    r1 = b - a**2
-    r2 = d - c**2
-    f = float(
-        np.sum(
-            100.0 * r1**2
-            + (1.0 - a) ** 2
-            + 90.0 * r2**2
-            + (1.0 - c) ** 2
-            + 10.0 * (b + d - 2.0) ** 2
-            + 0.1 * (b - d) ** 2
-        )
-    )
-    g = np.zeros(n)
-    g[0::4] = -400.0 * a * r1 - 2.0 * (1.0 - a)
-    g[1::4] = 200.0 * r1 + 20.0 * (b + d - 2.0) + 0.2 * (b - d)
-    g[2::4] = -360.0 * c * r2 - 2.0 * (1.0 - c)
-    g[3::4] = 180.0 * r2 + 20.0 * (b + d - 2.0) - 0.2 * (b - d)
-    H = np.zeros((n, n))
-    for grp in range(n // 4):
-        i = 4 * grp
-        blk = np.array(
-            [
-                [-400.0 * r1[grp] + 800.0 * a[grp] ** 2 + 2.0, -400.0 * a[grp], 0.0, 0.0],
-                [-400.0 * a[grp], 220.2, 0.0, 19.8],
-                [0.0, 0.0, -360.0 * r2[grp] + 720.0 * c[grp] ** 2 + 2.0, -360.0 * c[grp]],
-                [0.0, 19.8, -360.0 * c[grp], 200.2],
-            ]
-        )
-        H[i : i + 4, i : i + 4] = blk
-    return f, g, H
+    v = x.tolist()
+    n = len(v)
+    terms, g, blocks = [], [], []
+    for a, b, c, d in zip(v[0::4], v[1::4], v[2::4], v[3::4]):
+        r1 = b - a * a
+        r2 = d - c * c
+        u, w = 1.0 - a, 1.0 - c
+        s, e = b + d - 2.0, b - d
+        terms.append(100.0 * (r1 * r1) + u * u + 90.0 * (r2 * r2) + w * w
+                     + 10.0 * (s * s) + 0.1 * (e * e))
+        g += [-400.0 * a * r1 - 2.0 * u, 200.0 * r1 + 20.0 * s + 0.2 * e,
+              -360.0 * c * r2 - 2.0 * w, 180.0 * r2 + 20.0 * s - 0.2 * e]
+        h11 = -400.0 * r1 + 800.0 * _pow(a, 2) + 2.0
+        h33 = -360.0 * r2 + 720.0 * _pow(c, 2) + 2.0
+        blocks += [h11, -400.0 * a, 0.0, 0.0,
+                   -400.0 * a, 220.2, 0.0, 19.8,
+                   0.0, 0.0, h33, -360.0 * c,
+                   0.0, 19.8, -360.0 * c, 200.2]
+    return _sum(terms), np.array(g), _matrix(n, _blocks(n), blocks)
 
 
 def _helix(x):
@@ -502,7 +567,7 @@ class NoiseSpec:
     fixed order: function scalar, gradient entries, Hessian upper triangle
     (each only where targeted and present).  So the same spec and the same
     sequence of calls replay bit-identically, and level 0 is an exact
-    passthrough.  A negative seed raises numpy's ValueError in add_noise.
+    passthrough.  The seed must be a nonnegative integer.
     """
 
     level: float
@@ -512,6 +577,8 @@ class NoiseSpec:
     def __post_init__(self):
         if not 0.0 <= self.level <= 1.0:
             raise ValueError(f"noise level must lie in [0, 1], got {self.level}")
+        if not isinstance(self.seed, numbers.Integral) or self.seed < 0:
+            raise ValueError(f"noise seed must be a nonnegative integer, got {self.seed!r}")
         bad = set(self.targets) - NOISE_TARGETS
         if bad:
             raise ValueError(f"unknown noise targets: {sorted(bad)}")

@@ -142,6 +142,20 @@ class TestRunBench:
         with pytest.raises(ValueError, match=f"need at least one {label}"):
             run_bench(**lists)
 
+    @pytest.mark.parametrize("field,twice,message", [
+        ("oracles", [get_problem("cube"), get_problem("cube")], "problem 'cube'"),
+        ("algorithms", ("offar2a", "ar2", "offar2a"), "algorithm 'offar2a'"),
+        ("levels", (0.0, 0.0), "noise level 0.0"),
+        ("seeds", (1, 2, 2), "seed 2")])
+    def test_rejects_a_value_listed_twice(self, field, twice, message):
+        # A repeated level or seed would rerun and overwrite its cost matrix;
+        # a repeated problem or algorithm would count twice in rho and pi.
+        lists = dict(oracles=[get_problem("cube")], algorithms=("offar2a",),
+                     levels=(0.0,), seeds=(1,))
+        lists[field] = twice
+        with pytest.raises(ValueError, match=f"^{message} is listed twice$"):
+            run_bench(**lists)
+
 
 class TestCsvWriters:
     @pytest.fixture
@@ -229,6 +243,19 @@ class TestCli:
     def test_usage_errors(self, argv, capsys):
         assert main(argv) == 1
         assert "error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv,message", [
+        (["bench", "--alg", "offar2a", "--problems", "cube", "--noise", "0,0"],
+         "noise level 0.0 is listed twice"),
+        (["bench", "--alg", "offar2a", "--problems", "cube,cube"],
+         "problem 'cube' is listed twice"),
+        (["run", "--problem", "cube", "--alg", "ar2", "--noise", "0.5", "--seed", "-1"],
+         "noise seed must be a nonnegative integer, got -1"),
+    ])
+    def test_usage_error_names_the_bad_value(self, argv, message, capsys):
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {message}\n" and captured.out == ""
 
     def test_bench_smoke(self, tmp_path, capsys):
         prefix = str(tmp_path / "b")

@@ -250,8 +250,11 @@ class TestNoiseStreams:
             assert ours.tobytes() == (1.0 + 0.1 * ref.standard_normal(79)).tobytes()
 
     def test_negative_seed_raises(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="noise seed must be a nonnegative integer, got -1$"):
             add_noise(get_problem("cube"), NoiseSpec(level=0.1, seed=-1))
+        for seed in (np.int64(-2), 1.5, 2.0, "3", None):
+            with pytest.raises(ValueError, match="noise seed must be a nonnegative integer"):
+                NoiseSpec(level=0.1, seed=seed)
 
     def test_long_run_matches_default_rng_streams(self):
         # One draw of 1 + n + n(n+1)/2 normals per evaluation and no other:
