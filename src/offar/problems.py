@@ -363,8 +363,9 @@ def _nondquar(x):
     g[1:-1] = [p + a for p, a in zip(g[1:], c)]
     g[-1] += _sum(c)
     # Term i adds q_i to each entry among rows and columns i, i+1, n-1, so
-    # band entry k gets q_{k-1}, then q_k, after the squared terms' +-2.0.
-    # q >= 0, so no sum here is -0.0 and padding with 0.0 changes no bit.
+    # band entry k gets q_{k-1}, then q_k, after the squared terms' +-2.0
+    # (which sit apart for n >= 4).  q >= 0, so no sum here is -0.0 and
+    # padding with 0.0 changes no bit.
     before, after = [0.0] + q, q + [0.0]
     corner = 2.0
     for a in q:

@@ -146,7 +146,7 @@ class TestRunBench:
         ("oracles", [get_problem("cube"), get_problem("cube")], "problem 'cube'"),
         ("algorithms", ("offar2a", "ar2", "offar2a"), "algorithm 'offar2a'"),
         ("levels", (0.0, 0.0), "noise level 0.0"),
-        ("seeds", (1, 2, 2), "seed 2")])
+        ("seeds", (1, 2, 2), "seed 2")], ids=["problem", "algorithm", "level", "seed"])
     def test_rejects_a_value_listed_twice(self, field, twice, message):
         # A repeated level or seed would rerun and overwrite its cost matrix;
         # a repeated problem or algorithm would count twice in rho and pi.
@@ -251,7 +251,7 @@ class TestCli:
          "problem 'cube' is listed twice"),
         (["run", "--problem", "cube", "--alg", "ar2", "--noise", "0.5", "--seed", "-1"],
          "noise seed must be a nonnegative integer, got -1"),
-    ])
+    ], ids=["bench-level-twice", "bench-problem-twice", "run-negative-seed"])
     def test_usage_error_names_the_bad_value(self, argv, message, capsys):
         assert main(argv) == 1
         captured = capsys.readouterr()
