@@ -223,7 +223,8 @@ def _powell_singular(x):
               for p, q, s, w in zip(t1, t2, quarts[:m], quarts[m:])])
     g, blocks = [], []
     for p, q, s, w, c3, c4 in zip(t1, t2, t3, t4, cubes[:m], cubes[m:]):
-        g += [2.0 * p + 40.0 * c4, 20.0 * p + 4.0 * c3, 10.0 * q - 8.0 * c3, -10.0 * q - 40.0 * c4]
+        g += [2.0 * p + 40.0 * c4, 20.0 * p + 4.0 * c3,
+              10.0 * q - 8.0 * c3, -10.0 * q - 40.0 * c4]
         q3 = 12.0 * _pow(s, 2)
         q4 = 120.0 * _pow(w, 2)
         blocks += [2.0 + q4, 20.0, 0.0, -q4,
@@ -237,7 +238,8 @@ def _broyden3d(x):
     """Tridiagonal Broyden system residuals, squared and summed."""
     v = x.tolist()
     n = len(v)
-    r = [(3.0 - 2.0 * a) * a - p - 2.0 * q + 1.0 for a, p, q in zip(v, [0.0] + v[:-1], v[1:] + [0.0])]
+    r = [(3.0 - 2.0 * a) * a - p - 2.0 * q + 1.0
+         for a, p, q in zip(v, [0.0] + v[:-1], v[1:] + [0.0])]
     f = _sum([t * t for t in r])
     J = _matrix(n, _band(n), [3.0 - 4.0 * a for a in v] + [-2.0] * (n - 1) + [-1.0] * (n - 1))
     g = 2.0 * (J.T @ np.array(r))
@@ -332,7 +334,8 @@ def _dixmaana(x):
                        for p, a, b in zip(diag[m:], lo, mid)]
     # 0.0 + turns -0.0 into +0.0, as adding onto a zero entry does.
     cross = [0.0 + 8.0 * gamma * a * q for a, q in zip(lo, p3)]
-    return f, np.array(g), _matrix(n, _dixmaana_index(n), diag + cross + cross + [delta] * (2 * m))
+    H = _matrix(n, _dixmaana_index(n), diag + cross + cross + [delta] * (2 * m))
+    return f, np.array(g), H
 
 
 @functools.cache
@@ -373,7 +376,8 @@ def _nondquar(x):
     diag = [a + b + c for a, b, c in zip([2.0, 2.0] + [0.0] * (n - 4) + [2.0], before, after)]
     off = [-2.0 + q[0]] + q[1:]
     last = [a + b + c for a, b, c in zip([0.0] * (n - 2) + [2.0], before, after)]
-    return f, np.array(g), _matrix(n, _nondquar_index(n), diag + [corner] + off + off + last + last)
+    H = _matrix(n, _nondquar_index(n), diag + [corner] + off + off + last + last)
+    return f, np.array(g), H
 
 
 def _woods(x):
