@@ -38,6 +38,11 @@ def _offo_config(algorithm: str, *, eps1, eps2, max_iter, strict, nu0) -> OffoCo
     )
 
 
+def _check_algorithm(algorithm: str) -> None:
+    if algorithm not in ALGORITHMS:
+        raise KeyError(f"unknown algorithm {algorithm!r}; choose from {ALGORITHMS}")
+
+
 def run_single(
     oracle: ProblemOracle,
     algorithm: str,
@@ -57,8 +62,7 @@ def run_single(
     drivers, sigma0 only by ar2 (None means Ar2Config's default); setting one
     the chosen algorithm does not read raises ValueError.
     """
-    if algorithm not in ALGORITHMS:
-        raise KeyError(f"unknown algorithm {algorithm!r}; choose from {ALGORITHMS}")
+    _check_algorithm(algorithm)
     unread = [name for name, given, read in (
         ("eps2", eps2 is not None, algorithm == "moffar2"),
         ("strict", strict, algorithm != "ar2"),
@@ -120,7 +124,8 @@ def run_bench(
     eps1 = None picks the tolerance per level (1e-6 clean, 1e-3 noisy).
     Level 0 is deterministic, so it runs once regardless of the seed list
     and feeds the performance profile.  A value listed twice in any of the
-    four lists raises ValueError, as does an empty list.
+    four lists raises ValueError, as does an empty list; an unknown algorithm
+    raises run_single's KeyError.  All before the first run.
     """
     oracles = list(oracles) if oracles is not None else make_suite()
     algorithms = tuple(algorithms)
@@ -134,6 +139,8 @@ def run_bench(
         repeated = [v for i, v in enumerate(values) if v in values[:i]]
         if repeated:
             raise ValueError(f"{label} {repeated[0]!r} is listed twice")
+    for alg in algorithms:
+        _check_algorithm(alg)
 
     eps_by_level = {
         level: (eps1 if eps1 is not None else (EPS_CLEAN if level == 0.0 else EPS_NOISY))

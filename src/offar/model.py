@@ -7,7 +7,8 @@ A solver iteration works on the local model
 built from a :class:`DerivativeBundle` at the current iterate.  The constant
 term f(x) is deliberately absent: the derivative-only solvers never see
 function values, and every consumer only compares model differences, so
-m(0) = 0 by construction.
+m(0) = 0 by construction.  :func:`model_terms` evaluates the model at a step:
+the Taylor decrease, m(s) and the Taylor gradient, from one product H s.
 """
 
 from __future__ import annotations
@@ -93,61 +94,21 @@ class RegularizedModel:
         if self.degree == 2 and self.bundle.hessian is None:
             raise ValueError("degree 2 model requires a hessian in the bundle")
 
-    @property
-    def n(self) -> int:
-        return self.bundle.n
 
-
-def _check_step(model: RegularizedModel, s) -> Array:
-    v = _as_vector(s)
-    if v.size != model.n:
-        raise ValueError(f"step size {v.size} does not match dimension {model.n}")
-    return v
-
-
-def taylor_decrease(model: RegularizedModel, s) -> float:
-    """T(x,0) - T(x,s), the decrease of the unregularized Taylor part."""
-    s = _check_step(model, s)
-    val = float(model.bundle.gradient @ s)
-    if model.degree == 2:
-        val += 0.5 * float(s @ (model.bundle.hessian @ s))
-    return -val
-
-
-def model_value(model: RegularizedModel, s) -> float:
-    """m(s) - m(0); negative iff s is a descent step for the model."""
-    s = _check_step(model, s)
-    norm = vnorm(s)
-    reg = model.sigma / math.factorial(model.degree + 1) * norm ** (model.degree + 1)
-    return -taylor_decrease(model, s) + reg
-
-
-def model_gradient(model: RegularizedModel, s) -> Array:
-    """Gradient of m at s; equals the bundle gradient at s = 0."""
-    s = _check_step(model, s)
-    g = model.bundle.gradient.copy()
-    if model.degree == 2:
-        g += model.bundle.hessian @ s
-    norm = vnorm(s)
-    g += model.sigma / math.factorial(model.degree) * norm ** (model.degree - 1) * s
-    return g
-
-
-def taylor_gradient(model: RegularizedModel, s) -> Array:
-    """Gradient of the Taylor part alone at s."""
-    s = _check_step(model, s)
-    g = model.bundle.gradient.copy()
-    if model.degree == 2:
-        g += model.bundle.hessian @ s
-    return g
-
-
-def taylor_gradient_norm(model: RegularizedModel, s) -> float:
-    return vnorm(taylor_gradient(model, s))
-
-
-def taylor_min_curvature(model: RegularizedModel) -> float:
-    """Smallest eigenvalue of the (constant) Taylor Hessian; degree 2 only."""
-    if model.degree != 2:
-        raise ValueError("curvature is only defined for degree 2 models")
-    return float(np.linalg.eigvalsh(model.bundle.hessian)[0])
+def model_terms(model: RegularizedModel, s) -> tuple[float, float, Array]:
+    """(T(x,0) - T(x,s), m(s) - m(0), grad T(x,s)) from one check of s and, at
+    degree 2, one product H s.  m(s) - m(0) < 0 iff s is a descent step."""
+    g = model.bundle.gradient
+    s = _as_vector(s)
+    if s.size != g.size:
+        raise ValueError(f"step size {s.size} does not match dimension {g.size}")
+    p = model.degree
+    val = float(g @ s)
+    if p == 2:
+        Hs = model.bundle.hessian @ s
+        val += 0.5 * float(s @ Hs)
+        tgrad = g + Hs
+    else:
+        tgrad = g.copy()
+    reg = model.sigma / math.factorial(p + 1) * vnorm(s) ** (p + 1)
+    return -val, val + reg, tgrad

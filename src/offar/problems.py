@@ -409,11 +409,12 @@ def _helix(x):
     theta = arctan(x2/x1)/(2 pi), shifted by +1/2 for x1 < 0, which keeps the
     angle smooth across the negative x1 half-plane where the run starts.
     Plain products instead of ** keep scalar overflow at inf rather than an
-    exception.
+    exception.  Where r^4 is 0 (x1^2 + x2^2 is 0 or its square underflows)
+    the angle's derivatives would divide by 0, so every output is NaN.
     """
     x1, x2, x3 = (float(v) for v in x)
     r2 = x1 * x1 + x2 * x2
-    if r2 == 0.0:
+    if r2 * r2 == 0.0:
         return math.nan, np.full(3, np.nan), np.full((3, 3), np.nan)
     r = math.sqrt(r2)
     if x1 != 0.0:

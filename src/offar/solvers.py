@@ -25,7 +25,7 @@ from enum import Enum
 
 import numpy as np
 
-from .model import DerivativeBundle, RegularizedModel, taylor_decrease, vnorm
+from .model import DerivativeBundle, RegularizedModel, model_terms, vnorm
 from .subsolver import StepResult, certify, solve_p1, solve_p2
 from .trace import RunTrace
 
@@ -367,7 +367,7 @@ def run_ar2(problem, config: Ar2Config, *, collect_history: bool = False) -> Run
             step = solve_p2(bundle.gradient, bundle.hessian, sigma, eig=eig)
             step_sigma = sigma
             step_norm = vnorm(step.step)
-            decrease = taylor_decrease(RegularizedModel(bundle, sigma, 2), step.step)
+            decrease = model_terms(RegularizedModel(bundle, sigma, 2), step.step)[0]
             if not (step.model_reduction > 0.0 and decrease > 0.0):
                 raise CertificateError(f"degenerate subproblem solution at iteration {k}")
             trial_x = x + step.step

@@ -210,7 +210,7 @@ class TestCertificateErrors:
             run_offar(po, OffoConfig(degree=2, eps1=1e-6))
 
     def test_ar2_raises_on_zero_taylor_decrease(self, monkeypatch):
-        monkeypatch.setattr(solvers, "taylor_decrease", lambda model, s: 0.0)
+        monkeypatch.setattr(solvers, "model_terms", lambda model, s: (0.0, 0.0, None))
         po = quadratic_oracle(np.eye(2), np.ones(2), np.zeros(2))
         with pytest.raises(solvers.CertificateError, match="iteration 0"):
             run_ar2(po, Ar2Config(eps1=1e-6))

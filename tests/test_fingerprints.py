@@ -10,8 +10,9 @@ Such a change, or one meant to alter the numerics, regenerates the file with
     PYTHONPATH=src python tests/test_fingerprints.py
 
 and states the old-to-new iteration differences with the change.  Traces
-depend on the LAPACK build behind eigh, so the file records the Python,
-numpy and BLAS it was made with, and the test skips on any other.
+depend on the LAPACK build behind eigh and on the SIMD code numpy picks for
+the host CPU, so the file records the Python, numpy, BLAS and SIMD extensions
+it was made with, and the test skips on any other.
 """
 
 import hashlib
@@ -51,11 +52,14 @@ def fingerprint(problem, algorithm, level, seed):
 
 
 def environment():
+    """Python, numpy, BLAS and the SIMD extensions numpy dispatches on."""
     try:
-        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]
-    except (TypeError, KeyError):
-        blas = None
-    return {"python": platform.python_version(), "numpy": np.__version__, "blas": blas}
+        config = np.show_config(mode="dicts")
+    except TypeError:
+        config = {}
+    blas = config.get("Build Dependencies", {}).get("blas", {}).get("name")
+    return {"python": platform.python_version(), "numpy": np.__version__, "blas": blas,
+            "simd": config.get("SIMD Extensions")}
 
 
 def _recorded():

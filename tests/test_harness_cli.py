@@ -8,6 +8,7 @@ import pytest
 from offar import (DerivativeBundle, NoiseSpec, OffoConfig, ProblemMeta,
                    ProblemOracle, RunStatus, add_noise, get_problem, run_bench,
                    run_offar, run_single)
+from offar import harness
 from offar.cli import _STATUS_CODES, main
 from offar.harness import (ALGORITHMS, write_costs_csv, write_profile_csv,
                            write_summary_csv)
@@ -155,6 +156,13 @@ class TestRunBench:
         lists[field] = twice
         with pytest.raises(ValueError, match=f"^{message} is listed twice$"):
             run_bench(**lists)
+
+    def test_rejects_an_unknown_algorithm_before_running(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(harness, "run_single", lambda *a, **k: calls.append(a))
+        with pytest.raises(KeyError, match="unknown algorithm 'bogus'; choose from"):
+            run_bench([get_problem("cube"), get_problem("beale")], ("offar2a", "bogus"))
+        assert calls == []
 
 
 class TestCsvWriters:

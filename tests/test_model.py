@@ -4,9 +4,7 @@ import struct
 import numpy as np
 import pytest
 
-from offar import (DerivativeBundle, RegularizedModel, model_gradient,
-                   model_value, taylor_decrease, taylor_gradient,
-                   taylor_gradient_norm, taylor_min_curvature)
+from offar import DerivativeBundle, RegularizedModel, model_terms
 from offar.model import vnorm
 
 
@@ -89,59 +87,70 @@ class TestRegularizedModel:
         # -(g.s + 0.5 s.H.s) with s = (1, 1): -(1 - 2 + 0.5*(2 + 4)) = -2
         m = RegularizedModel(self.bundle(), 1.0, 2)
         s = np.array([1.0, 1.0])
-        assert taylor_decrease(m, s) == pytest.approx(-2.0)
+        assert model_terms(m, s)[0] == pytest.approx(-2.0)
 
     def test_taylor_decrease_worked(self):
         b = DerivativeBundle(np.array([2.0, 2.0]), np.array([[2.0, 0.0], [0.0, 2.0]]))
         m = RegularizedModel(b, 1.0, 2)
         s = np.array([1.0, 1.0])
         # g.s = 4, quadratic term 2 -> decrease is -(4 + 2) = -6
-        assert taylor_decrease(m, s) == pytest.approx(-6.0)
+        assert model_terms(m, s)[0] == pytest.approx(-6.0)
 
     def test_model_value_zero_step(self):
         m1 = RegularizedModel(self.bundle(), 3.0, 1)
         m2 = RegularizedModel(self.bundle(), 3.0, 2)
         z = np.zeros(2)
-        assert model_value(m1, z) == 0.0
-        assert model_value(m2, z) == 0.0
+        assert model_terms(m1, z)[1] == 0.0
+        assert model_terms(m2, z)[1] == 0.0
 
     def test_model_value_includes_regularization(self):
         b = DerivativeBundle(np.zeros(1), np.zeros((1, 1)))
         m = RegularizedModel(b, 6.0, 2)
         s = np.array([1.0])
         # only the sigma/(p+1)! ||s||^3 term: 6/6 = 1
-        assert model_value(m, s) == pytest.approx(1.0)
+        assert model_terms(m, s)[1] == pytest.approx(1.0)
+
+    def test_value_is_regularized_decrease(self):
+        # m(s) = -(T(x,0) - T(x,s)) + sigma/(p+1)! ||s||^(p+1) with ||s||^2 = 2
+        b = self.bundle()
+        s = np.array([1.0, 1.0])
+        decrease, value, _ = model_terms(RegularizedModel(b, 6.0, 1), s)
+        assert decrease == 1.0
+        assert value == pytest.approx(-1.0 + 6.0 / 2.0 * 2.0)
+        decrease, value, _ = model_terms(RegularizedModel(b, 6.0, 2), s)
+        assert decrease == -2.0
+        assert value == pytest.approx(2.0 + 6.0 / 6.0 * 2.0 ** 1.5)
 
     def test_model_gradient_at_zero_is_gradient(self):
+        # grad m(0) = grad T(x,0) + sigma/2 ||0|| 0
         m = RegularizedModel(self.bundle(), 5.0, 2)
-        np.testing.assert_allclose(model_gradient(m, np.zeros(2)),
-                                   self.bundle().gradient)
+        np.testing.assert_array_equal(model_terms(m, np.zeros(2))[2], self.bundle().gradient)
 
     def test_model_gradient_stationary_at_minimizer(self):
+        # grad m(s) = grad T(x,s) + sigma/2 ||s|| s vanishes at the minimizer.
         from offar import solve_p2
         b = self.bundle()
         m = RegularizedModel(b, 2.5, 2)
         r = solve_p2(b.gradient, b.hessian, 2.5)
-        assert np.linalg.norm(model_gradient(m, r.step)) < 1e-10
+        tgrad = model_terms(m, r.step)[2]
+        assert np.linalg.norm(tgrad + 2.5 / 2.0 * vnorm(r.step) * r.step) < 1e-10
 
     def test_taylor_gradient(self):
         m = RegularizedModel(self.bundle(), 1.0, 2)
         s = np.array([1.0, 0.0])
-        np.testing.assert_allclose(taylor_gradient(m, s), [3.0, -2.0])
-        assert taylor_gradient_norm(m, s) == pytest.approx(np.sqrt(13.0))
+        np.testing.assert_allclose(model_terms(m, s)[2], [3.0, -2.0])
+        assert vnorm(model_terms(m, s)[2]) == pytest.approx(np.sqrt(13.0))
 
     def test_taylor_gradient_degree1_constant(self):
-        m = RegularizedModel(DerivativeBundle(np.array([3.0, 4.0])), 1.0, 1)
-        np.testing.assert_allclose(taylor_gradient(m, np.array([9.0, -9.0])), [3.0, 4.0])
-        assert taylor_gradient_norm(m, np.ones(2)) == pytest.approx(5.0)
-
-    def test_min_curvature(self):
-        m = RegularizedModel(self.bundle(), 1.0, 2)
-        assert taylor_min_curvature(m) == pytest.approx(2.0)
-        with pytest.raises(ValueError):
-            taylor_min_curvature(RegularizedModel(self.bundle(), 1.0, 1))
+        b = DerivativeBundle(np.array([3.0, 4.0]))
+        m = RegularizedModel(b, 1.0, 1)
+        tgrad = model_terms(m, np.array([9.0, -9.0]))[2]
+        np.testing.assert_allclose(tgrad, [3.0, 4.0])
+        assert vnorm(model_terms(m, np.ones(2))[2]) == pytest.approx(5.0)
+        tgrad[0] = 7.0  # a fresh array: the bundle keeps its gradient
+        np.testing.assert_array_equal(b.gradient, [3.0, 4.0])
 
     def test_dimension_checks(self):
         m = RegularizedModel(self.bundle(), 1.0, 2)
         with pytest.raises(ValueError):
-            model_value(m, np.zeros(3))
+            model_terms(m, np.zeros(3))

@@ -10,9 +10,10 @@ file with
 
     PYTHONPATH=src python tests/test_oracle_values.py
 
-Like the trace fingerprints, the file records the Python, numpy and BLAS it
-was made with (vectorized pow and the BLAS products vary by build), and the
-bitwise test skips on any other.  The shape test runs everywhere.
+Like the trace fingerprints, the file records the Python, numpy, BLAS and
+SIMD extensions it was made with (vectorized pow and the BLAS products vary
+by build and CPU), and the bitwise test skips on any other.  The shape test
+runs everywhere.
 """
 
 import hashlib

@@ -5,11 +5,11 @@ import math
 import numpy as np
 import pytest
 
-from offar import (Ar2Config, NoiseSpec, ProblemMeta, ProblemOracle,
-                   SUITE_NAMES, add_noise, get_problem, make_suite, run_ar2,
-                   validate_derivatives)
+from offar import (Ar2Config, NoiseSpec, OffoConfig, ProblemMeta, ProblemOracle,
+                   RunStatus, SUITE_NAMES, add_noise, get_problem, make_suite,
+                   run_ar2, run_offar, validate_derivatives)
 from offar.model import DerivativeBundle
-from offar.problems import _bundle
+from offar.problems import _bundle, _helix
 
 
 class TestSuiteComposition:
@@ -91,6 +91,22 @@ class TestDerivatives:
         bundle = get_problem("beale").evaluate(np.array([2.0, 0.0]))
         assert bundle.hessian[1, 1] == 10.0
         assert bundle.finite_grad_norm() < math.inf
+
+    @pytest.mark.parametrize("x", [[-3.2e-218, 2.2e-125, -6.2e-238], [1e-82, 1e-82, 1.0],
+                                   [0.0, 0.0, 2.0], [-0.0, 5e-324, 0.0]])
+    def test_helix_where_r4_underflows(self, x):
+        # x1^2 + x2^2 > 0 whose square underflows to 0: NaN, not ZeroDivisionError.
+        f, g, H = _helix(np.array(x))
+        assert math.isnan(f) and np.isnan(g).all() and np.isnan(H).all()
+        helix = get_problem("helix")
+        start = ProblemOracle("helix", 3, np.array(x), helix.evaluator, helix.meta)
+        assert run_offar(start, OffoConfig(degree=2, eps1=1e-6)).status == RunStatus.ORACLE_OVERFLOW
+
+    def test_helix_finite_where_r4_is_subnormal(self):
+        # r^4 ~ 1e-312 is subnormal but not 0: the formula still returns values.
+        f, g, H = _helix(np.array([-1e-78, 0.0, 0.5]))
+        assert math.isfinite(f)
+        assert not np.isnan(g).any() and not np.isnan(H).any()
 
 
 class TestMetadata:

@@ -7,6 +7,7 @@ eigendecomposition and a Newton iteration, the references only ever evaluate
 the model or its multiplier equation.
 """
 
+import functools
 import math
 from dataclasses import fields
 from fractions import Fraction
@@ -17,13 +18,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from offar import (DerivativeBundle, RegularizedModel, StepResult, certify,
-                   model_value, solve_p1, solve_p2)
+                   model_terms, solve_p1, solve_p2)
 from offar.model import vnorm
 from offar.subsolver import _HARD_CASE_RTOL, _secular_root
 
 
-def grid_min_1d(g1, H1, sigma, radius=3.0, h=1e-6):
+@functools.lru_cache(maxsize=1)
+def _grid_1d(radius, h):
+    """The grid of grid_min_1d, built once per (radius, h) and read-only."""
     s = np.arange(-radius, radius + h, h)
+    s.flags.writeable = False
+    return s
+
+
+def grid_min_1d(g1, H1, sigma, radius=3.0, h=1e-6):
+    s = _grid_1d(radius, h)
     m = g1 * s + 0.5 * H1 * s * s + sigma / 6.0 * np.abs(s) ** 3
     i = int(np.argmin(m))
     return float(s[i]), float(m[i])
@@ -134,7 +143,7 @@ class TestSolveP2Examples:
         # first component padded positive by the orientation rule
         assert r.step[0] > 0.0
         m = RegularizedModel(DerivativeBundle(g, H), sigma, 2)
-        assert model_value(m, r.step) == pytest.approx(-r.model_reduction, rel=1e-12)
+        assert model_terms(m, r.step)[1] == pytest.approx(-r.model_reduction, rel=1e-12)
 
     def test_hard_case_sign_deterministic(self):
         r1 = solve_p2(np.array([0.0, 0.0]), np.diag([-2.0, 1.0]), 2.0)
@@ -147,9 +156,10 @@ class TestSolveP2Examples:
         H = np.diag([-1.0, 2.0])
         r = solve_p2(g, H, 0.5)
         m = RegularizedModel(DerivativeBundle(g, H), 0.5, 2)
-        # model stationarity regardless of which branch fired
-        from offar import model_gradient
-        assert np.linalg.norm(model_gradient(m, r.step)) < 1e-9
+        # model stationarity regardless of which branch fired:
+        # grad m(s) = grad T(x,s) + sigma/2 ||s|| s
+        tgrad = model_terms(m, r.step)[2]
+        assert np.linalg.norm(tgrad + 0.5 / 2.0 * vnorm(r.step) * r.step) < 1e-9
 
     def test_shape_and_finiteness_errors(self):
         with pytest.raises(ValueError):
@@ -176,7 +186,7 @@ class TestSolveP2Properties:
             sigma = float(np.exp(rng.uniform(np.log(4.0), np.log(40.0))))
             r = solve_p2(g, H, sigma)
             m = RegularizedModel(DerivativeBundle(g, H), sigma, 2)
-            mv = model_value(m, r.step)
+            mv = model_terms(m, r.step)[1]
             assert mv == pytest.approx(-r.model_reduction, rel=1e-10, abs=1e-12)
             assert mv <= grid_min_2d(g, H, sigma) + 1e-9
 
@@ -215,6 +225,25 @@ class TestSolveP2Properties:
         sigmas = np.exp(np.linspace(np.log(0.05), np.log(500.0), 20))
         norms = [float(np.linalg.norm(solve_p2(g, H, s).step)) for s in sigmas]
         assert all(a > b for a, b in zip(norms, norms[1:]))
+
+    def test_tail_matches_model_terms(self):
+        # solve_p2 evaluates the model at its step itself, in model_terms'
+        # order of operations: both agree bit for bit, hard cases included.
+        rng = np.random.default_rng(23)
+        for k in range(200):
+            n = int(rng.integers(1, 8))
+            g = rng.normal(size=n) * 10.0 ** rng.uniform(-3.0, 3.0)
+            A = rng.normal(size=(n, n)) * 10.0 ** rng.uniform(-3.0, 3.0)
+            if k % 4 == 0:
+                g[0] = 0.0
+                A[0, :] = A[:, 0] = 0.0
+                A[0, 0] = -1.0
+            sigma = float(10.0 ** rng.uniform(-3.0, 3.0))
+            r = solve_p2(g, A, sigma)
+            _, value, tgrad = model_terms(
+                RegularizedModel(DerivativeBundle(g, A), sigma, 2), r.step)
+            assert value == -r.model_reduction
+            assert vnorm(tgrad) == r.taylor_grad_norm
 
     def test_model_reduction_positive(self):
         rng = np.random.default_rng(19)
@@ -374,7 +403,7 @@ class TestSolveP2Hypothesis:
                 keep[:] = True
             assert near_secular_root(w[keep], g[keep] ** 2, sigma, r.multiplier)
         m = RegularizedModel(DerivativeBundle(g, np.diag(w)), sigma, 2)
-        assert model_value(m, r.step) == pytest.approx(-r.model_reduction, rel=1e-10)
+        assert model_terms(m, r.step)[1] == pytest.approx(-r.model_reduction, rel=1e-10)
 
 
 class TestCertify:
