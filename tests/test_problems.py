@@ -95,7 +95,7 @@ class TestDerivatives:
     @pytest.mark.parametrize("x", [[-3.2e-218, 2.2e-125, -6.2e-238], [1e-82, 1e-82, 1.0],
                                    [0.0, 0.0, 2.0], [-0.0, 5e-324, 0.0]])
     def test_helix_where_r4_underflows(self, x):
-        # x1^2 + x2^2 > 0 whose square underflows to 0: NaN, not ZeroDivisionError.
+        # x1^2 + x2^2 is 0 or its square underflows to 0: NaN, not ZeroDivisionError.
         f, g, H = _helix(np.array(x))
         assert math.isnan(f) and np.isnan(g).all() and np.isnan(H).all()
         helix = get_problem("helix")
