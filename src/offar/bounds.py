@@ -65,15 +65,14 @@ def theory_bounds(
     f_low: float | None = None,
     theta2: float | None = None,
     eps2: float | None = None,
-    allow_partial: bool = False,
 ) -> BoundReport:
     """Evaluate the complexity bound chain for degree p at tolerance eps1.
 
     L is the Lipschitz constant of the p-th derivative, sigma0 = nu0 the
     initial weight, kappa_high a lower bound on the smallest initial Hessian
     curvature (only its negative part matters).  Without f0/f_low/g0_norm
-    only the gradient-phase count is available; by default that raises,
-    listing the absent fields, unless allow_partial is set.
+    only the gradient-phase count is available: the report is partial and
+    lists the absent fields in missing.
     """
     if p < 1:
         raise ValueError(f"p must be >= 1, got {p}")
@@ -115,8 +114,6 @@ def theory_bounds(
             missing.append("theta2")
         if eps2 is None:
             missing.append("eps2")
-    if missing and not allow_partial:
-        raise ValueError(f"missing metadata for the full bounds: {', '.join(missing)}")
 
     report = BoundReport(p=p, eps1=eps1, k_star=k_star, k_star_raw=k_star_raw,
                          eta=eta, kappa1=kappa1, eps2=eps2, missing=tuple(missing))
@@ -215,4 +212,4 @@ def bounds_for_problem(oracle, config) -> BoundReport:
     return theory_bounds(config.degree, config.eps1, sigma0=sigma0, theta1=_THETA1,
                          vartheta=config.vartheta,
                          theta2=_THETA2 if config.eps2 is not None else None,
-                         eps2=config.eps2, allow_partial=True, **constants)
+                         eps2=config.eps2, **constants)

@@ -185,8 +185,7 @@ def _cmd_bounds(args) -> int:
         theta2 = _THETA2
     report = theory_bounds(
         args.p, args.eps1, sigma0=args.sigma0, theta1=args.theta1,
-        vartheta=args.vartheta, theta2=theta2, eps2=args.eps2,
-        allow_partial=True, **constants)
+        vartheta=args.vartheta, theta2=theta2, eps2=args.eps2, **constants)
     print(f"k_star={report.k_star} k_star_raw={report.k_star_raw!r}")
     print(f"eta={report.eta!r} kappa1={report.kappa1!r}")
     if report.bound_first_order is not None:
@@ -228,11 +227,10 @@ def main(argv=None) -> int:
         if args.command == "list-problems":
             return _cmd_list(args)
         raise _UsageError(f"unknown command {args.command!r}")
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (KeyError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (_UsageError, KeyError, ValueError) as exc:
+        # str() of a KeyError is the repr of its message, quotes and all.
+        message = exc.args[0] if isinstance(exc, KeyError) else exc
+        print(f"error: {message}", file=sys.stderr)
         return 1
 
 

@@ -40,7 +40,7 @@ def _offo_config(algorithm: str, *, eps1, eps2, max_iter, strict, nu0) -> OffoCo
 
 def _check_algorithm(algorithm: str) -> None:
     if algorithm not in ALGORITHMS:
-        raise KeyError(f"unknown algorithm {algorithm!r}; choose from {ALGORITHMS}")
+        raise KeyError(f"unknown algorithm {algorithm!r}; choose from {', '.join(ALGORITHMS)}")
 
 
 def run_single(

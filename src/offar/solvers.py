@@ -26,7 +26,7 @@ from enum import Enum
 import numpy as np
 
 from .model import DerivativeBundle, RegularizedModel, model_terms, vnorm
-from .subsolver import StepResult, certify, solve_p1, solve_p2
+from .subsolver import certify, solve_p1, solve_p2
 from .trace import RunTrace
 
 Array = np.ndarray
@@ -41,12 +41,6 @@ class RunStatus(str, Enum):
 
 class CertificateError(RuntimeError):
     """An exact subproblem solution failed its own step conditions."""
-
-
-def _config_hash(config) -> str:
-    items = [(f.name, getattr(config, f.name)) for f in fields(config)]
-    text = type(config).__name__ + repr(items)
-    return hashlib.md5(text.encode()).hexdigest()[:12]
 
 
 @dataclass
@@ -141,16 +135,6 @@ class SolverState:
 
 
 @dataclass
-class RunHistory:
-    """Full iterate record, kept only on request (memory)."""
-
-    xs: list
-    bundles: list
-    steps: list
-    step_results: list
-
-
-@dataclass
 class RunOutcome:
     status: RunStatus
     final_x: Array
@@ -158,7 +142,6 @@ class RunOutcome:
     iterations: int
     trace: RunTrace
     final_min_eig: float | None = None
-    history: RunHistory | None = None
 
 
 def mu1_update(grad_norm: float, prev_step_norm: float, sigma_prev: float,
@@ -212,58 +195,42 @@ def _factorize(bundle: DerivativeBundle) -> tuple:
     return eig, float(eig[0][0])
 
 
-class _Record:
-    """One run's trace and, on request, its iterate history.
-
-    Every way a run ends goes through finish, which appends the terminal
-    trace row (so K iterations give K + 1 rows) and builds the outcome.
-    """
-
-    def __init__(self, problem, algorithm: str, config, collect_history: bool):
-        self.trace = RunTrace(problem=getattr(problem, "name", ""), algorithm=algorithm,
-                              config_hash=_config_hash(config))
-        self.history = RunHistory([], [], [], []) if collect_history else None
-
-    def point(self, x: Array, bundle: DerivativeBundle) -> None:
-        if self.history is not None:
-            self.history.xs.append(x.copy())
-            self.history.bundles.append(bundle)
-
-    def step(self, step: StepResult) -> None:
-        if self.history is not None:
-            self.history.steps.append(step.step.copy())
-            self.history.step_results.append(step)
-
-    def finish(self, status: RunStatus, x: Array, gnorm: float, k: int,
-               min_eig: float | None = None, **row) -> RunOutcome:
-        self.trace.append(k=k, grad_norm=gnorm, min_eig=min_eig, **row)
-        return RunOutcome(status, x, gnorm, k, self.trace, final_min_eig=min_eig,
-                          history=self.history)
+def _new_trace(problem, algorithm: str, config) -> RunTrace:
+    """An empty trace labelled with the problem, algorithm and config hash."""
+    items = [(f.name, getattr(config, f.name)) for f in fields(config)]
+    text = type(config).__name__ + repr(items)
+    return RunTrace(problem=getattr(problem, "name", ""), algorithm=algorithm,
+                    config_hash=hashlib.md5(text.encode()).hexdigest()[:12])
 
 
-def run_offar(problem, config: OffoConfig, *, collect_history: bool = False) -> RunOutcome:
+def _finish(trace: RunTrace, status: RunStatus, x: Array, gnorm: float, k: int,
+            min_eig: float | None = None, **row) -> RunOutcome:
+    """End a run: append the terminal row, so K iterations give K + 1 rows."""
+    trace.append(k=k, grad_norm=gnorm, min_eig=min_eig, **row)
+    return RunOutcome(status, x, gnorm, k, trace, final_min_eig=min_eig)
+
+
+def run_offar(problem, config: OffoConfig) -> RunOutcome:
     """First-order driver; terminates when ||g_k|| <= eps1."""
-    return _run_offo(problem, config, second_order=False, collect_history=collect_history)
+    return _run_offo(problem, config, second_order=False)
 
 
-def run_moffar(problem, config: OffoConfig, *, collect_history: bool = False) -> RunOutcome:
+def run_moffar(problem, config: OffoConfig) -> RunOutcome:
     """Second-order driver; needs degree 2 and eps2."""
     if config.degree != 2:
         raise ValueError("run_moffar requires degree 2")
     if config.eps2 is None:
         raise ValueError("run_moffar requires eps2")
-    return _run_offo(problem, config, second_order=True, collect_history=collect_history)
+    return _run_offo(problem, config, second_order=True)
 
 
 # Overflow ends a run as OracleOverflow; numpy's warnings about it, such as a
 # gradient norm beyond float64, would only repeat the status.
 @np.errstate(over="ignore")
-def _run_offo(problem, config: OffoConfig, *, second_order: bool,
-              collect_history: bool) -> RunOutcome:
+def _run_offo(problem, config: OffoConfig, *, second_order: bool) -> RunOutcome:
     p = config.degree
     algorithm = ("moffar" if second_order else "offar") + str(p)
-    rec = _Record(problem, algorithm, config, collect_history)
-    trace = rec.trace
+    trace = _new_trace(problem, algorithm, config)
 
     if config.strict_mode and config.nu0 is None:
         raise ValueError("strict mode requires an explicit nu0")
@@ -274,12 +241,11 @@ def _run_offo(problem, config: OffoConfig, *, second_order: bool,
         raise ValueError(f"{algorithm} needs Hessians")
     gnorm = bundle.finite_grad_norm()
     if not gnorm < math.inf:
-        return rec.finish(RunStatus.ORACLE_OVERFLOW, x, math.nan, 0)
+        return _finish(trace, RunStatus.ORACLE_OVERFLOW, x, math.nan, 0)
 
     nu0 = config.nu0 if config.nu0 is not None else practical_nu0(gnorm)
     state = SolverState(nu=nu0, sigma=nu0)
     prev_step_norm = None
-    rec.point(x, bundle)
 
     k = 0
     while True:
@@ -314,7 +280,6 @@ def _run_offo(problem, config: OffoConfig, *, second_order: bool,
             taylor_grad_norm=step.taylor_grad_norm,
             min_eig=min_eig, fvalue=bundle.fvalue,
         )
-        rec.step(step)
 
         x = x + step.step
         state.nu = nu_update(state.nu, snorm, p)
@@ -324,19 +289,17 @@ def _run_offo(problem, config: OffoConfig, *, second_order: bool,
         bundle = problem.evaluate(x)
         gnorm = bundle.finite_grad_norm()
         if not gnorm < math.inf:
-            return rec.finish(RunStatus.ORACLE_OVERFLOW, x, math.nan, k, nu=state.nu)
-        rec.point(x, bundle)
+            return _finish(trace, RunStatus.ORACLE_OVERFLOW, x, math.nan, k, nu=state.nu)
 
     if stop:
         status = RunStatus.SECOND_ORDER if second_order else RunStatus.FIRST_ORDER
     else:
         status = RunStatus.MAX_ITERATIONS
-    return rec.finish(status, x, gnorm, k, min_eig, nu=state.nu,
-                      fvalue=bundle.fvalue)
+    return _finish(trace, status, x, gnorm, k, min_eig, nu=state.nu, fvalue=bundle.fvalue)
 
 
 @np.errstate(over="ignore")  # as in _run_offo
-def run_ar2(problem, config: Ar2Config, *, collect_history: bool = False) -> RunOutcome:
+def run_ar2(problem, config: Ar2Config) -> RunOutcome:
     """Function-value-based baseline with the standard accept/reject loop.
 
     Rejected iterations still count (and still cost one objective
@@ -346,8 +309,7 @@ def run_ar2(problem, config: Ar2Config, *, collect_history: bool = False) -> Run
     the _GAMMA3 cap a rejection changes neither, so the next iteration reuses
     the previous solve exactly and repeats only the (noisy) trial evaluation.
     """
-    rec = _Record(problem, "ar2", config, collect_history)
-    trace = rec.trace
+    trace = _new_trace(problem, "ar2", config)
 
     x = np.array(problem.x0, dtype=float)
     bundle = problem.evaluate(x)
@@ -355,10 +317,9 @@ def run_ar2(problem, config: Ar2Config, *, collect_history: bool = False) -> Run
         raise ValueError("ar2 needs function values and Hessians")
     gnorm = bundle.finite_grad_norm()
     if not gnorm < math.inf or not math.isfinite(bundle.fvalue):
-        return rec.finish(RunStatus.ORACLE_OVERFLOW, x, math.nan, 0)
+        return _finish(trace, RunStatus.ORACLE_OVERFLOW, x, math.nan, 0)
     eig, min_eig = _factorize(bundle)
     sigma = config.sigma0
-    rec.point(x, bundle)
 
     k = 0
     step = step_sigma = None
@@ -387,11 +348,10 @@ def run_ar2(problem, config: Ar2Config, *, collect_history: bool = False) -> Run
             fvalue=bundle.fvalue, rho=rho,
             accepted=math.nan if overflow else float(accepted),
         )
-        rec.step(step)
         k += 1
         if overflow:
-            return rec.finish(RunStatus.ORACLE_OVERFLOW, x, math.nan, k, min_eig,
-                              sigma=sigma)
+            return _finish(trace, RunStatus.ORACLE_OVERFLOW, x, math.nan, k, min_eig,
+                           sigma=sigma)
 
         if accepted:
             x = trial_x
@@ -401,9 +361,8 @@ def run_ar2(problem, config: Ar2Config, *, collect_history: bool = False) -> Run
             step = None
             if rho >= _ETA2:
                 sigma = max(_SIGMA_MIN, _GAMMA2 * sigma)
-            rec.point(x, bundle)
         else:
             sigma = min(_GAMMA1 * sigma, _GAMMA3)
 
     status = RunStatus.FIRST_ORDER if gnorm <= config.eps1 else RunStatus.MAX_ITERATIONS
-    return rec.finish(status, x, gnorm, k, min_eig, sigma=sigma, fvalue=bundle.fvalue)
+    return _finish(trace, status, x, gnorm, k, min_eig, sigma=sigma, fvalue=bundle.fvalue)

@@ -5,9 +5,9 @@ so a run of K iterations yields K + 1 rows.  Columns not meaningful for a
 given algorithm (e.g. mu2 for run_offar, rho for the derivative-only
 solvers) hold NaN, whether left out of append or passed as None.  Floats
 are written with shortest round-trip formatting, so parse(emit(trace))
-reproduces the trace bitwise.  A CSV whose header differs from COLUMNS
-fails to parse, so a trace written with another column set is refused,
-not misread.
+reproduces the trace bitwise.  A CSV whose header differs from COLUMNS,
+or with a data row of another length, fails to parse, so a trace written
+with another column set is refused, not misread.
 """
 
 from __future__ import annotations
@@ -105,7 +105,14 @@ class RunTrace:
             raise ValueError("trace header row is missing")
         if tuple(header) != COLUMNS:
             raise ValueError(f"unexpected trace header: {header}")
-        rows = [[float(v) for v in row] for row in reader if row]
+        rows = []
+        for row in reader:
+            if not row:
+                continue
+            if len(row) != len(COLUMNS):
+                raise ValueError(f"trace line {body + reader.line_num} has {len(row)} "
+                                 f"cells, expected {len(COLUMNS)}")
+            rows.append([float(v) for v in row])
         seed_text = meta.get("seed", "")
         return cls(
             problem=meta.get("problem", ""),

@@ -1,8 +1,14 @@
 """Shared per-iteration invariant checker for driver runs.
 
 The checks mirror the quantities the drivers themselves maintain but are
-recomputed here from the recorded trace and history, so a run is validated
-against its own raw data rather than against the solver's bookkeeping.
+recomputed here from the run's trace and from the oracle's own record of
+what it was asked, so a run is validated against its raw data rather than
+against the solver's bookkeeping.  recording(oracle) wraps the oracle's
+evaluator and appends (x, bundle) for every evaluation.  A derivative-only
+driver evaluates once at x0 and once per iteration, and accepts every step,
+so step k is the realized displacement x_{k+1} - x_k: the step actually
+taken, which is also the s that the Taylor error bounds against the
+derivatives at x_{k+1} need.
 
 Inequalities that hold with equality in exact arithmetic (certificates at
 theta = 1, Lipschitz identities on quadratics where L2 = 0) are given a
@@ -10,11 +16,12 @@ relative slack REL plus a small scale-aware absolute floor; without it,
 last-ulp rounding flips them spuriously.
 """
 
+import dataclasses
 import math
 
 import numpy as np
 
-from offar import RegularizedModel, certify, theory_bounds
+from offar import RegularizedModel, StepResult, certify, theory_bounds
 from offar.solvers import _THETA1, _THETA2
 
 REL = 1e-9
@@ -26,22 +33,36 @@ def _le(a, b, scale=1.0):
     return a <= b + REL * max(1.0, abs(b)) + ABS * max(1.0, scale)
 
 
-def check_offo_invariants(outcome, config, oracle=None, check_lipschitz=True):
+def recording(oracle):
+    """A copy of oracle that appends (x, bundle) to points at each evaluation."""
+    points = []
+    evaluate = oracle.evaluator
+
+    def evaluator(x):
+        bundle = evaluate(x)
+        points.append((x.copy(), bundle))
+        return bundle
+
+    return dataclasses.replace(oracle, evaluator=evaluator), points
+
+
+def check_offo_invariants(outcome, config, points, oracle=None, check_lipschitz=True):
     """Return a list of human-readable violation strings (empty = clean).
 
-    Needs outcome.history (run with collect_history=True).  The Lipschitz
-    family only fires when the oracle declares a constant for the run's
-    degree; the sigma_max ceiling additionally needs f_low/kappa_high
-    metadata and fvalues.
+    points is the list recording() filled during the run: x_0 .. x_K and
+    their bundles.  The Lipschitz family only fires when the oracle declares
+    a constant for the run's degree; the sigma_max ceiling additionally
+    needs f_low/kappa_high metadata and fvalues.
     """
     bad = []
     tr = outcome.trace
-    hist = outcome.history
-    if hist is None:
-        raise ValueError("invariant checking needs collect_history=True")
     p = config.degree
     pfact = math.factorial(p)
     K = outcome.iterations
+    if len(points) != K + 1:
+        raise ValueError(f"{K} iterations need {K + 1} recorded points, got {len(points)}")
+    bundles = [b for _, b in points]
+    steps = [points[k + 1][0] - points[k][0] for k in range(K)]
 
     nu = tr.column("nu")
     sigma = tr.column("sigma")
@@ -63,9 +84,10 @@ def check_offo_invariants(outcome, config, oracle=None, check_lipschitz=True):
             bad.append(f"k={k}: sigma={sigma[k]!r} outside [{lo!r}, {hi!r}]")
 
     theta2 = _THETA2 if config.eps2 is not None else None
-    for k in range(min(K, len(hist.step_results))):
-        model = RegularizedModel(hist.bundles[k], sigma[k], p)
-        if not certify(hist.step_results[k], model, _THETA1, theta2):
+    for k in range(K):
+        # certify recomputes everything from the model and reads only the step.
+        taken = StepResult(steps[k], math.nan, math.nan, math.nan)
+        if not certify(taken, RegularizedModel(bundles[k], sigma[k], p), _THETA1, theta2):
             bad.append(f"k={k}: step certificate failed (sigma={sigma[k]!r})")
 
     L = oracle.meta.lipschitz.get(p) if oracle is not None else None
@@ -92,10 +114,12 @@ def check_offo_invariants(outcome, config, oracle=None, check_lipschitz=True):
                 f"k={k}: step bound ||s||^p={snorm[k] ** p!r} "
                 f"not above p!||g+||/(L+theta1 sigma)={need!r}")
 
-    # Taylor error bounds against the oracle's own next-point data.
-    nb = len(hist.bundles)
-    for k in range(min(K, nb - 1, len(hist.steps))):
-        b0, b1, s = hist.bundles[k], hist.bundles[k + 1], hist.steps[k]
+    # Taylor error bounds against the oracle's own next-point data; an
+    # overflowing last point has no finite derivatives to compare.
+    for k in range(K):
+        if math.isnan(gnorm[k + 1]):
+            continue
+        b0, b1, s = bundles[k], bundles[k + 1], steps[k]
         sn = float(np.linalg.norm(s))
         if b0.fvalue is not None and b1.fvalue is not None:
             taylor = b0.fvalue + float(b0.gradient @ s)

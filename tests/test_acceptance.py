@@ -11,7 +11,7 @@ from contextlib import contextmanager
 
 import numpy as np
 
-from _checks import check_offo_invariants
+from _checks import check_offo_invariants, recording
 from conftest import ACCEPTANCE_LINES
 from test_profiles import riemann_pi
 from test_subsolver import bisect_multiplier, grid_min_1d, grid_min_2d
@@ -89,8 +89,9 @@ def test_04_strict_invariants_on_suite():
             g0 = float(np.linalg.norm(po.evaluate(po.x0).gradient))
             cfg = OffoConfig(degree=2, eps1=1e-6, strict_mode=True,
                              nu0=practical_nu0(g0), max_iter=5000)
-            out = run_offar(po, cfg, collect_history=True)
-            violations = check_offo_invariants(out, cfg, po)
+            po, points = recording(po)
+            out = run_offar(po, cfg)
+            violations = check_offo_invariants(out, cfg, points, po)
             assert violations == [], (name, violations[:3])
         assert time.perf_counter() - t0 < 120.0
 
@@ -140,9 +141,9 @@ def test_06_subproblem_against_grid():
 def test_07_bound_calculator_worked_values():
     with criterion(7, "bound calculator reproduces its worked values"):
         unit = dict(L=1.0, sigma0=1.0, theta1=1.0, vartheta=1.0)
-        rep = theory_bounds(2, 1.0, **unit, allow_partial=True)
+        rep = theory_bounds(2, 1.0, **unit)
         assert rep.k_star == 6
-        half = theory_bounds(2, 0.5, **unit, allow_partial=True)
+        half = theory_bounds(2, 0.5, **unit)
         ratio = half.k_star_raw / rep.k_star_raw
         assert abs(ratio - 2.0**1.5) <= 1e-9 * 2.0**1.5
 

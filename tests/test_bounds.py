@@ -10,65 +10,61 @@ UNIT = dict(L=1.0, sigma0=1.0, theta1=1.0, vartheta=1.0)
 
 class TestGradientPhaseCount:
     def test_unit_constants_give_six(self):
-        rep = theory_bounds(2, 1.0, **UNIT, allow_partial=True)
+        rep = theory_bounds(2, 1.0, **UNIT)
         assert rep.k_star == 6
         assert rep.k_star_raw == pytest.approx(3.0**1.5, rel=1e-12)
 
     def test_eps_halving_scales_three_halves(self):
-        a = theory_bounds(2, 0.5, **UNIT, allow_partial=True)
-        b = theory_bounds(2, 0.25, **UNIT, allow_partial=True)
+        a = theory_bounds(2, 0.5, **UNIT)
+        b = theory_bounds(2, 0.25, **UNIT)
         assert b.k_star_raw / a.k_star_raw == pytest.approx(2.0**1.5, rel=1e-9)
 
     def test_p1_scaling_is_quadratic(self):
-        a = theory_bounds(1, 0.5, **UNIT, allow_partial=True)
-        b = theory_bounds(1, 0.25, **UNIT, allow_partial=True)
+        a = theory_bounds(1, 0.5, **UNIT)
+        b = theory_bounds(1, 0.25, **UNIT)
         assert b.k_star_raw / a.k_star_raw == pytest.approx(4.0, rel=1e-9)
 
     def test_larger_initial_weight_never_hurts(self):
-        small = theory_bounds(2, 0.1, **UNIT, allow_partial=True)
+        small = theory_bounds(2, 0.1, **UNIT)
         big = theory_bounds(2, 0.1, L=1.0, sigma0=10.0, theta1=1.0,
-                            vartheta=1.0, allow_partial=True)
+                            vartheta=1.0)
         assert big.k_star_raw <= small.k_star_raw
 
 
 class TestEta:
     def test_zero_without_negative_curvature(self):
-        rep = theory_bounds(2, 0.5, **UNIT, kappa_high=0.0, allow_partial=True)
+        rep = theory_bounds(2, 0.5, **UNIT, kappa_high=0.0)
         assert rep.eta == 0.0
 
     def test_zero_for_first_order(self):
-        rep = theory_bounds(1, 0.5, **UNIT, kappa_high=-5.0, allow_partial=True)
+        rep = theory_bounds(1, 0.5, **UNIT, kappa_high=-5.0)
         assert rep.eta == 0.0
 
     def test_worked_value(self):
         # p = 2, one term: (neg * 3! / (2! * vartheta * sigma0)) ** 1
-        rep = theory_bounds(2, 0.5, **UNIT, kappa_high=-2.0, allow_partial=True)
+        rep = theory_bounds(2, 0.5, **UNIT, kappa_high=-2.0)
         assert rep.eta == pytest.approx(6.0)
 
     def test_positive_curvature_is_ignored(self):
-        rep = theory_bounds(2, 0.5, **UNIT, kappa_high=3.0, allow_partial=True)
+        rep = theory_bounds(2, 0.5, **UNIT, kappa_high=3.0)
         assert rep.eta == 0.0
 
 
 class TestMixedOrderCount:
     def test_unit_constants_give_216(self):
-        rep = theory_bounds(2, 1.0, **UNIT, theta2=1.0, eps2=1.0,
-                            allow_partial=True)
+        rep = theory_bounds(2, 1.0, **UNIT, theta2=1.0, eps2=1.0)
         assert rep.kappa_both == pytest.approx(1.0 / 3.0)
         assert rep.k_star2 == 216
 
     def test_available_without_function_metadata(self):
-        rep = theory_bounds(2, 1.0, **UNIT, theta2=1.0, eps2=1.0,
-                            allow_partial=True)
+        rep = theory_bounds(2, 1.0, **UNIT, theta2=1.0, eps2=1.0)
         assert rep.k_star2 == 216
         assert rep.nu_max is None
         assert rep.bound_second_order is None
 
     def test_eps2_drives_the_mix(self):
-        loose = theory_bounds(2, 1.0, **UNIT, theta2=1.0, eps2=1.0,
-                              allow_partial=True)
-        tight = theory_bounds(2, 1.0, **UNIT, theta2=1.0, eps2=0.25,
-                              allow_partial=True)
+        loose = theory_bounds(2, 1.0, **UNIT, theta2=1.0, eps2=1.0)
+        tight = theory_bounds(2, 1.0, **UNIT, theta2=1.0, eps2=0.25)
         assert tight.k_star2_raw / loose.k_star2_raw == pytest.approx(
             0.25**-3.0, rel=1e-9)
 
@@ -100,12 +96,8 @@ class TestFullChain:
 
 
 class TestValidation:
-    def test_missing_metadata_raises_with_names(self):
-        with pytest.raises(ValueError, match="g0_norm"):
-            theory_bounds(2, 0.5, **UNIT)
-
     def test_partial_records_what_is_absent(self):
-        rep = theory_bounds(2, 0.5, **UNIT, f0=1.0, allow_partial=True)
+        rep = theory_bounds(2, 0.5, **UNIT, f0=1.0)
         assert "g0_norm" in rep.missing and "f_low" in rep.missing
         assert "f0" not in rep.missing
 
@@ -120,7 +112,7 @@ class TestValidation:
         dict(sigma0=0.0),
     ])
     def test_bad_constants(self, kwargs):
-        base = dict(p=2, eps1=0.5, **UNIT, allow_partial=True)
+        base = dict(p=2, eps1=0.5, **UNIT)
         base.update(kwargs)
         p = base.pop("p")
         eps1 = base.pop("eps1")
@@ -129,13 +121,11 @@ class TestValidation:
 
     def test_second_order_needs_degree_two(self):
         with pytest.raises(ValueError):
-            theory_bounds(1, 0.5, **UNIT, theta2=1.5, eps2=0.5,
-                          allow_partial=True)
+            theory_bounds(1, 0.5, **UNIT, theta2=1.5, eps2=0.5)
 
     def test_second_order_bad_eps2(self):
         with pytest.raises(ValueError):
-            theory_bounds(2, 0.5, **UNIT, theta2=1.5, eps2=0.0,
-                          allow_partial=True)
+            theory_bounds(2, 0.5, **UNIT, theta2=1.5, eps2=0.0)
 
 
 class TestProblemWrapper:

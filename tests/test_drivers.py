@@ -1,15 +1,17 @@
 """Outer-iteration driver behavior on analytic and scripted oracles."""
 
+import dataclasses
 import itertools
 import math
 
 import numpy as np
 import pytest
 
-from _checks import check_offo_invariants
+from _checks import check_offo_invariants, recording
 from offar import (Ar2Config, DerivativeBundle, NoiseSpec, OffoConfig,
                    ProblemMeta, ProblemOracle, RunStatus, add_noise, get_problem,
                    run_ar2, run_moffar, run_offar, run_single, solve_p2, solvers)
+from offar.trace import COLUMNS, RunTrace
 
 
 def quadratic_oracle(A, b, x0, name="quad"):
@@ -81,35 +83,49 @@ class TestOffarConvergence:
         with pytest.raises(ValueError, match="needs Hessians"):
             run_single(po, algorithm, eps1=1e-6)
 
-    def test_history_lengths(self):
-        po = quadratic_oracle(np.diag([1.0, 4.0]), np.ones(2), np.zeros(2))
-        out = run_offar(po, OffoConfig(degree=2, eps1=1e-8), collect_history=True)
-        h = out.history
-        assert len(h.xs) == out.iterations + 1
-        assert len(h.steps) == out.iterations
-        assert len(h.step_results) == out.iterations
-        x = h.xs[0].copy()
-        for s in h.steps:
-            x = x + s
-        np.testing.assert_allclose(x, out.final_x, rtol=0, atol=0)
+
+def strict_config(po):
+    g0 = float(np.linalg.norm(po.evaluate(po.x0).gradient))
+    return OffoConfig(degree=2, eps1=1e-6, strict_mode=True,
+                      nu0=solvers.practical_nu0(g0), max_iter=5000)
 
 
 class TestInvariants:
     @pytest.mark.parametrize("name", ["tridia", "rosenbr", "beale"])
     def test_strict_runs_clean(self, name):
         po = get_problem(name)
-        g0 = float(np.linalg.norm(po.evaluate(po.x0).gradient))
-        cfg = OffoConfig(degree=2, eps1=1e-6, strict_mode=True,
-                         nu0=solvers.practical_nu0(g0), max_iter=5000)
-        out = run_offar(po, cfg, collect_history=True)
-        assert check_offo_invariants(out, cfg, po) == []
+        cfg = strict_config(po)
+        po, points = recording(po)
+        out = run_offar(po, cfg)
+        assert check_offo_invariants(out, cfg, points, po) == []
 
     def test_practical_run_also_clean(self):
         # the practical sigma is clamped into the same interval
-        po = get_problem("tridia")
+        po, points = recording(get_problem("tridia"))
         cfg = OffoConfig(degree=2, eps1=1e-8)
-        out = run_offar(po, cfg, collect_history=True)
-        assert check_offo_invariants(out, cfg, po) == []
+        out = run_offar(po, cfg)
+        assert check_offo_invariants(out, cfg, points, po) == []
+
+    def test_checker_flags_an_overstep_and_a_low_sigma(self):
+        po = get_problem("tridia")
+        cfg = strict_config(po)
+        po, points = recording(po)
+        out = run_offar(po, cfg)
+        k = 2
+        assert out.iterations > k + 1
+
+        overstep = list(points)
+        x0, x1 = points[k][0], points[k + 1][0]
+        overstep[k + 1] = (x0 + 1.5 * (x1 - x0), points[k + 1][1])
+        bad = check_offo_invariants(out, cfg, overstep, po)
+        assert any(v.startswith(f"k={k}: step certificate failed") for v in bad), bad
+
+        trace = RunTrace(rows=[row.copy() for row in out.trace.rows])
+        row = trace.rows[k]
+        row[COLUMNS.index("sigma")] = 0.5 * cfg.vartheta * row[COLUMNS.index("nu")]
+        low = dataclasses.replace(out, trace=trace)
+        bad = check_offo_invariants(low, cfg, points, po)
+        assert any(v.startswith(f"k={k}: sigma=") and "outside" in v for v in bad), bad
 
 
 class TestDeterminism:
@@ -352,15 +368,6 @@ class TestAr2:
         assert len(out.trace) == out.iterations + 1
         assert math.isnan(out.trace.column("rho")[0])
         assert math.isnan(out.trace.column("accepted")[0])
-
-    def test_history_lengths(self):
-        out = run_ar2(get_problem("rosenbr"), Ar2Config(eps1=1e-6), collect_history=True)
-        h = out.history
-        accepted = int(out.trace.column("accepted")[:-1].sum())
-        assert 0 < accepted < out.iterations  # both branches ran
-        assert len(h.steps) == len(h.step_results) == out.iterations
-        assert len(h.xs) == len(h.bundles) == 1 + accepted
-        np.testing.assert_array_equal(h.xs[-1], out.final_x)
 
     def test_needs_function_values(self):
         def ev(x):

@@ -5,9 +5,9 @@ import csv
 import numpy as np
 import pytest
 
-from offar import (DerivativeBundle, NoiseSpec, OffoConfig, ProblemMeta,
-                   ProblemOracle, RunStatus, add_noise, get_problem, run_bench,
-                   run_offar, run_single)
+from offar import (SUITE_NAMES, DerivativeBundle, NoiseSpec, OffoConfig,
+                   ProblemMeta, ProblemOracle, RunStatus, add_noise, get_problem,
+                   run_bench, run_offar, run_single)
 from offar import harness
 from offar.cli import _STATUS_CODES, main
 from offar.harness import (ALGORITHMS, write_costs_csv, write_profile_csv,
@@ -259,7 +259,12 @@ class TestCli:
          "problem 'cube' is listed twice"),
         (["run", "--problem", "cube", "--alg", "ar2", "--noise", "0.5", "--seed", "-1"],
          "noise seed must be a nonnegative integer, got -1"),
-    ], ids=["bench-level-twice", "bench-problem-twice", "run-negative-seed"])
+        (["run", "--problem", "nosuch", "--alg", "offar2a"],
+         "unknown problem 'nosuch'; choose from " + ", ".join(SUITE_NAMES)),
+        (["bench", "--alg", "offar2a,bogus", "--problems", "cube"],
+         "unknown algorithm 'bogus'; choose from offar1, offar2a, offar2b, moffar2, ar2"),
+    ], ids=["bench-level-twice", "bench-problem-twice", "run-negative-seed",
+            "run-unknown-problem", "bench-unknown-algorithm"])
     def test_usage_error_names_the_bad_value(self, argv, message, capsys):
         assert main(argv) == 1
         captured = capsys.readouterr()

@@ -97,6 +97,16 @@ class TestRoundTrip:
         with pytest.raises(ValueError, match="header row is missing"):
             RunTrace.from_csv(io.StringIO(text))
 
+    @pytest.mark.parametrize("cells", [5, len(COLUMNS) + 1], ids=["short", "long"])
+    def test_ragged_row_rejected(self, cells):
+        buf = io.StringIO()
+        sample_trace().to_csv(buf)
+        lines = buf.getvalue().splitlines()
+        row = lines[6].split(",")  # the second data row, line 7 of the file
+        lines[6] = ",".join((row + ["0.0"])[:cells])
+        with pytest.raises(ValueError, match=f"line 7 has {cells} cells, expected 13"):
+            RunTrace.from_csv(io.StringIO("\n".join(lines) + "\n"))
+
     def test_comment_block_is_ordered_first(self):
         buf = io.StringIO()
         sample_trace().to_csv(buf)
