@@ -11,7 +11,7 @@ import sys
 
 from . import harness
 from .bounds import problem_constants, theory_bounds
-from .problems import SUITE_NAMES, get_problem, make_suite
+from .problems import get_problem, make_suite
 from .solvers import _THETA1, _THETA2, RunStatus
 from .worstcase import gen_first_order, gen_second_order, run_divergence
 

@@ -13,6 +13,7 @@ the Taylor decrease, m(s) and the Taylor gradient, from one product H s.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -25,6 +26,20 @@ def vnorm(v: Array) -> float:
     """float(np.linalg.norm(v)) for a 1-D float array, bit for bit, minus its dispatch."""
     v = v.ravel(order="K")
     return math.sqrt(v.dot(v))
+
+
+@functools.cache
+def _zeros(size: int) -> Array:
+    zeros = np.zeros(size)
+    zeros.flags.writeable = False
+    return zeros
+
+
+def all_finite(a: Array) -> bool:
+    """np.isfinite(a).all() for a float array, in one numpy call: 0 times an
+    entry is NaN exactly when the entry is inf or NaN, and np.vdot, unlike
+    np.dot, raises no floating-point warning for the inf * 0 it meets."""
+    return np.vdot(a, _zeros(a.size)) == 0.0
 
 
 def _as_vector(x) -> Array:
@@ -42,7 +57,9 @@ class DerivativeBundle:
 
     ``fvalue`` is diagnostic only; the derivative-only solvers never read it.
     The Hessian, when present, is symmetrized on ingestion so downstream
-    eigenvalue computations see an exactly symmetric matrix.
+    eigenvalue computations see an exactly symmetric matrix.  The suite
+    formulas and the noise wrapper, whose Hessians are exactly symmetric
+    already, build theirs with :meth:`_of_symmetric` instead.
     """
 
     gradient: Array
@@ -62,6 +79,21 @@ class DerivativeBundle:
         if self.fvalue is not None:
             self.fvalue = float(self.fvalue)
 
+    @classmethod
+    def _of_symmetric(cls, gradient: Array, hessian: Array | None,
+                      fvalue: float | None) -> DerivativeBundle:
+        """The constructor's bundle, bit for bit, from a float64 vector, an
+        exactly symmetric float64 matrix of matching shape (or None) and a
+        float (or None), without its checks and copies.  On such a matrix the
+        constructor's 0.5 * (h + h.T) only turns entries above DBL_MAX/2 into
+        +-inf; a finite np.vdot(h, h) rules those out, and np.vdot raises no
+        floating-point warning."""
+        if hessian is not None and not np.vdot(hessian, hessian) < math.inf:
+            hessian = 0.5 * (hessian + hessian)
+        bundle = object.__new__(cls)
+        bundle.gradient, bundle.hessian, bundle.fvalue = gradient, hessian, fvalue
+        return bundle
+
     @property
     def n(self) -> int:
         return self.gradient.size
@@ -71,7 +103,7 @@ class DerivativeBundle:
         the norm overflows (finite entries can still overflow it); fvalue is
         not consulted.  The drivers' one gradient norm per evaluation."""
         norm = vnorm(self.gradient)
-        if norm < math.inf and (self.hessian is None or np.isfinite(self.hessian).all()):
+        if norm < math.inf and (self.hessian is None or all_finite(self.hessian)):
             return norm
         return math.inf
 

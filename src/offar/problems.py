@@ -77,6 +77,9 @@ def _bundle(fn):
     differ in bytes and recompute.  The memo is not in the noise wrapper or
     ProblemOracle.evaluate: those take any evaluator, including scripted ones
     that answer by call count, and the wrapper draws fresh noise per call.
+    A formula returns a float, a fresh float64 vector and an exactly
+    symmetric float64 matrix (test_formula_shapes pins this), so the bundle
+    is built without the constructor's symmetrization.
     """
     last = (None, None)
 
@@ -87,7 +90,7 @@ def _bundle(fn):
         if key == last_key:
             return bundle
         f, g, H = fn(x)
-        bundle = DerivativeBundle(gradient=g, hessian=H, fvalue=f)
+        bundle = DerivativeBundle._of_symmetric(g, H, f)
         bundle.gradient.setflags(write=False)
         bundle.hessian.setflags(write=False)
         last = (key, bundle)
@@ -569,7 +572,7 @@ class NoiseSpec:
     """Multiplicative Gaussian noise: q -> q (1 + level z), z ~ N(0,1).
 
     Each wrapper reads one np.random.default_rng(seed) stream: every
-    evaluation makes one standard_normal draw from it and spends it in a
+    evaluation takes the next consecutive normals of it and spends them in a
     fixed order: function scalar, gradient entries, Hessian upper triangle
     (each only where targeted and present).  So the same spec and the same
     sequence of calls replay bit-identically, and level 0 is an exact
@@ -590,6 +593,12 @@ class NoiseSpec:
             raise ValueError(f"unknown noise targets: {sorted(bad)}")
 
 
+# Normals a noise wrapper draws at a time; a woods (n = 12) evaluation spends
+# 91 of them.  standard_normal(a + b) gives the values of standard_normal(a)
+# followed by standard_normal(b), so the batch size leaves the noise unchanged.
+_BATCH = 4096
+
+
 @functools.cache
 def _mirror(n: int) -> Array:
     """For each entry (i, j) of an n x n matrix, the position of (min(i, j),
@@ -603,12 +612,24 @@ def _mirror(n: int) -> Array:
 
 class _NoisyEvaluator:
     """Noise for one wrapped oracle, drawn from its own default_rng(spec.seed):
-    one standard_normal draw per evaluation, spent in NoiseSpec's order."""
+    each evaluation takes the stream's next consecutive factors 1 + level z,
+    computed _BATCH normals at a time, and spends them in NoiseSpec's order."""
 
     def __init__(self, inner, spec: NoiseSpec):
         self.inner = inner
         self.spec = spec
         self.rng = np.random.default_rng(spec.seed)
+        self._factors = np.empty(0)
+        self._used = 0
+
+    def _next_factors(self, size: int) -> Array:
+        i = self._used
+        if i + size > self._factors.size:
+            z = self.rng.standard_normal(max(size, _BATCH))
+            self._factors = np.concatenate((self._factors[i:], 1.0 + self.spec.level * z))
+            i = 0
+        self._used = i + size
+        return self._factors[i : i + size]
 
     def __call__(self, x: Array) -> DerivativeBundle:
         bundle = self.inner(x)
@@ -620,12 +641,11 @@ class _NoisyEvaluator:
         noise_g = "gradient" in spec.targets
         noise_h = "hessian" in spec.targets and H is not None
         n = g.size
-        # One draw for the whole bundle equals separate draws in this order.
         size = noise_f + (n if noise_g else 0) + (n * (n + 1) // 2 if noise_h else 0)
-        fac = 1.0 + spec.level * self.rng.standard_normal(size)
+        fac = self._next_factors(size)
         i = 0
         if noise_f:
-            f = f * fac[0]
+            f = float(f * fac[0])
             i = 1
         if noise_g:
             g = g * fac[i : i + n]
@@ -636,7 +656,7 @@ class _NoisyEvaluator:
             # + 0.0 turns -0.0 into +0.0, as the three-term build
             # Hn + Hn.T - diag(Hn) of the noised triangle Hn does.
             H = H * fac[i:].take(_mirror(n)) + 0.0
-        return DerivativeBundle(gradient=g, hessian=H, fvalue=f)
+        return DerivativeBundle._of_symmetric(g, H, f)
 
 
 def add_noise(oracle: ProblemOracle, spec: NoiseSpec) -> ProblemOracle:

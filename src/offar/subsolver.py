@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import RegularizedModel, model_terms, vnorm
+from .model import RegularizedModel, all_finite, model_terms, vnorm
 
 Array = np.ndarray
 
@@ -52,7 +52,7 @@ def solve_p1(g, sigma: float) -> StepResult:
     g = np.asarray(g, dtype=float)
     if g.ndim == 0:
         g = g.reshape(1)
-    if not np.isfinite(g).all():
+    if not all_finite(g):
         raise ValueError("gradient must be finite")
     if not (sigma > 0.0) or not math.isfinite(sigma):
         raise ValueError(f"sigma must be positive and finite, got {sigma}")
@@ -136,7 +136,7 @@ def solve_p2(g, H, sigma: float, *, eig=None) -> StepResult:
     H = np.asarray(H, dtype=float)
     if H.shape != (g.size, g.size):
         raise ValueError(f"hessian shape {H.shape} does not match gradient size {g.size}")
-    if not (np.isfinite(g).all() and np.isfinite(H).all()):
+    if not (all_finite(g) and all_finite(H)):
         raise ValueError("derivatives must be finite")
     if not (sigma > 0.0) or not math.isfinite(sigma):
         raise ValueError(f"sigma must be positive and finite, got {sigma}")

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from offar import DerivativeBundle, RegularizedModel, model_terms
-from offar.model import vnorm
+from offar.model import all_finite, vnorm
 
 
 def bits(x: float) -> bytes:
@@ -38,6 +38,15 @@ class TestVnorm:
             assert bits(vnorm(v)) == bits(float(np.linalg.norm(v)))
 
 
+@pytest.mark.parametrize("a", [[1.0, -2.0], [np.inf, 1.0], [-np.inf], [np.nan, 0.0],
+                               [1e308, -1e308], [-0.0], [], [[1.0, np.inf], [np.inf, 1.0]]],
+                         ids=["finite", "inf", "-inf", "nan", "huge", "-0.0", "empty", "matrix"])
+def test_all_finite_matches_isfinite(a):
+    # No floating-point warning either: pyproject.toml makes one an error.
+    a = np.array(a, dtype=float)
+    assert all_finite(a) == bool(np.isfinite(a).all())
+
+
 class TestDerivativeBundle:
     def test_vectorizes_gradient(self):
         b = DerivativeBundle([1.0, 2.0])
@@ -65,6 +74,7 @@ class TestDerivativeBundle:
         assert finite(DerivativeBundle(np.ones(2)))  # a missing Hessian is not checked
         b4 = DerivativeBundle(np.ones(2), np.array([[1.0, np.nan], [np.nan, 1.0]]))
         assert not finite(b4)
+        assert not finite(DerivativeBundle(np.ones(2), np.array([[1.0, -np.inf], [-np.inf, 1.0]])))
         with np.errstate(over="ignore"):  # finite entries, norm overflows
             assert not finite(DerivativeBundle(np.array([1e200, 1e200])))
         assert not finite(DerivativeBundle(np.array([1.0, np.nan])))

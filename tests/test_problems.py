@@ -9,7 +9,28 @@ from offar import (Ar2Config, NoiseSpec, OffoConfig, ProblemMeta, ProblemOracle,
                    RunStatus, SUITE_NAMES, add_noise, get_problem, make_suite,
                    run_ar2, run_offar, validate_derivatives)
 from offar.model import DerivativeBundle
-from offar.problems import _bundle, _helix
+from offar.problems import _BATCH, _bundle, _helix
+
+# DBL_MAX/2, the largest float64 below 2**1023: symmetrizing h as
+# 0.5 * (h + h.T) keeps an exactly symmetric entry up to it and overflows
+# 2**1023, the next float up, to inf.
+HALF_MAX = math.nextafter(2.0**1023, 0.0)
+
+
+def symmetric(n, triangle):
+    """The n x n matrix with this upper triangle (np.triu_indices order),
+    mirrored bit for bit."""
+    H = np.zeros((n, n))
+    rows, cols = np.triu_indices(n)
+    H[rows, cols] = triangle
+    H[cols, rows] = triangle
+    return H
+
+
+def same_bytes(a, b):
+    return (np.float64(a.fvalue).tobytes() == np.float64(b.fvalue).tobytes()
+            and a.gradient.tobytes() == b.gradient.tobytes()
+            and a.hessian.tobytes() == b.hessian.tobytes())
 
 
 class TestSuiteComposition:
@@ -241,6 +262,36 @@ class TestNoise:
             assert new.hessian.tobytes() == old.hessian.tobytes()
             assert not np.any(np.signbit(new.hessian) & (new.hessian == 0.0))
 
+    def test_boundary_entries_match_three_term_formula(self):
+        # Triangle entries chosen from the stream's first factors so that the
+        # noised value lands a few ulps above 2**1023 (the build overflows
+        # it to inf) or below DBL_MAX/2 (kept); the others are -0.0, +0.0,
+        # NaN and 1.0.  Level 1 draws factors below 0, which turn +0.0 into
+        # -0.0 before the build's + 0.0.
+        n, spec = 12, NoiseSpec(level=1.0, seed=4)
+        k = n * (n + 1) // 2
+        z = np.random.default_rng(spec.seed).standard_normal(1 + n + k)
+        fac = 1.0 + z[1 + n :]
+        kinds = np.arange(k) % 6
+        big = (kinds < 2) & (np.abs(fac) > 1.01)  # so that |h| < DBL_MAX/2 too
+        target = np.where(kinds == 0, 2.0**1023 * (1 + 2.0**-48), HALF_MAX * (1 - 2.0**-48))
+        triangle = np.select([big, kinds == 2, kinds == 3, kinds == 4],
+                             [target * np.sign(z[1 + n :]) / np.where(big, fac, 1.0),
+                              -0.0, 0.0, np.nan], 1.0)
+        g = np.array([-0.0, 0.0, np.nan, HALF_MAX, 1.0, -1.0] * 2)
+        ref = DerivativeBundle(g, symmetric(n, triangle), -0.0)
+        noisy = add_noise(ProblemOracle("edges", n, np.zeros(n), lambda x: ref), spec)
+        with np.errstate(over="ignore"):
+            new = noisy.evaluate(np.zeros(n))
+            old = self.three_term_noise(ref, spec, np.random.default_rng(spec.seed))
+        assert same_bytes(new, old)
+        noised = new.hessian[np.triu_indices(n)]
+        assert np.all(np.isinf(noised[big & (kinds == 0)]))
+        assert np.all(np.abs(noised[big & (kinds == 1)]) > 2.0**1022)
+        assert np.any(big & (kinds == 0)) and np.any(big & (kinds == 1))
+        assert np.any((kinds == 3) & (fac < 0))
+        assert not np.any(np.signbit(new.hessian) & (new.hessian == 0.0))
+
     def test_wrapper_leaves_original_untouched(self):
         clean = get_problem("beale")
         before = clean.evaluate(clean.x0)
@@ -254,16 +305,35 @@ class TestNoise:
 class TestNoiseStreams:
     """Each wrapper reads one np.random.default_rng(seed) stream in order."""
 
+    @staticmethod
+    def factors(bundle):
+        """f, g and H's upper triangle (those present), flat: for a bundle of
+        ones, the factors 1 + level z the wrapper applied."""
+        f = [] if bundle.fvalue is None else [bundle.fvalue]
+        H = [] if bundle.hessian is None else bundle.hessian[np.triu_indices(bundle.n)]
+        return np.concatenate((f, bundle.gradient, H))
+
     @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, np.int64(7), 2**64 + 3])
     def test_draws_match_default_rng(self, seed):
-        # A gradient of ones comes back as its factors 1 + level z.
-        ones = ProblemOracle("ones", 79, np.zeros(79),
-                             lambda x: DerivativeBundle(np.ones(79), None, None))
+        # fvalue alternates between a float and None, and every third
+        # evaluation has no Hessian, so the number of normals an evaluation
+        # takes varies, and 200 evaluations cross several refills of the
+        # wrapper's batched factors.
+        n, calls = 12, []
+
+        def ones(x):
+            calls.append(1)
+            return DerivativeBundle(np.ones(n), np.ones((n, n)) if len(calls) % 3 else None,
+                                    1.0 if len(calls) % 2 else None)
+
         spec = NoiseSpec(level=0.1, seed=seed)
-        noisy, ref = add_noise(ones, spec), np.random.default_rng(seed)
-        for _ in range(5):
-            ours = noisy.evaluate(noisy.x0).gradient
-            assert ours.tobytes() == (1.0 + 0.1 * ref.standard_normal(79)).tobytes()
+        noisy, ref = add_noise(ProblemOracle("ones", n, np.zeros(n), ones), spec), np.random.default_rng(seed)
+        drawn = 0
+        for _ in range(200):
+            ours = self.factors(noisy.evaluate(noisy.x0))
+            assert ours.tobytes() == (1.0 + 0.1 * ref.standard_normal(ours.size)).tobytes()
+            drawn += ours.size
+        assert drawn > 2 * _BATCH
 
     def test_negative_seed_raises(self):
         with pytest.raises(ValueError, match="noise seed must be a nonnegative integer, got -1$"):
@@ -273,24 +343,34 @@ class TestNoiseStreams:
                 NoiseSpec(level=0.1, seed=seed)
 
     def test_long_run_matches_default_rng_streams(self):
-        # One draw of 1 + n + n(n+1)/2 normals per evaluation and no other:
-        # after a 1000-iteration ar2 run the wrapper's stream stands where
-        # default_rng(seed) stands after that many normals.
+        # One evaluation spends 1 + n + n(n+1)/2 normals and nothing else
+        # draws: after a 1000-iteration ar2 run of N evaluations, the next
+        # evaluation's factors are normals N size .. (N + 1) size of
+        # default_rng(seed).
         clean = get_problem("woods")
+        n = clean.n
         calls = []
+        source = clean.evaluator
 
         def counted(x):
             calls.append(1)
-            return clean.evaluator(x)
+            return source(x)
 
         spec = NoiseSpec(level=0.5, seed=3)
-        problem = add_noise(ProblemOracle("woods", clean.n, clean.x0, counted), spec)
+        problem = add_noise(ProblemOracle("woods", n, clean.x0, counted), spec)
         run_ar2(problem, Ar2Config(eps1=1e-3, max_iter=1000))
-        n = clean.n
-        ref = np.random.default_rng(spec.seed)
-        ref.standard_normal(len(calls) * (1 + n + n * (n + 1) // 2))
         assert len(calls) > 1000
-        assert problem.evaluator.rng.bit_generator.state == ref.bit_generator.state
+        size = 1 + n + n * (n + 1) // 2
+        ref = np.random.default_rng(spec.seed)
+        ref.standard_normal(len(calls) * size)
+        expected = 1.0 + spec.level * ref.standard_normal(size)
+
+        # counted now answers with ones, which come back as their factors.
+        def source(x):
+            return DerivativeBundle(np.ones(n), np.ones((n, n)), 1.0)
+
+        ours = self.factors(problem.evaluate(clean.x0))
+        assert ours.tobytes() == expected.tobytes()
 
 
 class TestMemo:
@@ -329,6 +409,20 @@ class TestMemo:
             bundle.gradient[0] = 0.0
         with pytest.raises(ValueError):
             bundle.hessian[0, 0] = 0.0
+
+    def test_boundary_entries_match_constructor(self):
+        # The memo builds its bundle without the constructor's symmetrization
+        # and keeps its one effect on a symmetric H: 2**1023 overflows to inf.
+        n = 4
+        H = symmetric(n, [2.0**1023, -(2.0**1023), HALF_MAX, -HALF_MAX, -0.0,
+                          0.0, np.nan, 5e-324, math.inf, 1.0])
+        g = np.array([-0.0, np.nan, HALF_MAX, 1.0])
+        ev = _bundle(lambda x: (-0.0, g.copy(), H.copy()))
+        with np.errstate(over="ignore"):
+            new, old = ev(np.zeros(n)), DerivativeBundle(g, H, -0.0)
+        assert same_bytes(new, old)
+        assert new.hessian[0, 0] == math.inf and new.hessian[0, 1] == -math.inf
+        assert new.hessian[0, 2] == HALF_MAX and new.hessian[0, 3] == -HALF_MAX
 
     def test_suite_oracle_memoizes(self):
         po = get_problem("woods")

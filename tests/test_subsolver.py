@@ -94,6 +94,11 @@ class TestSolveP1:
         with pytest.raises(ValueError):
             solve_p1(np.zeros(2), 1.0)
 
+    @pytest.mark.parametrize("g", [[np.inf, 1.0], [1.0, np.nan]], ids=["inf", "nan"])
+    def test_rejects_nonfinite_gradient(self, g):
+        with pytest.raises(ValueError, match="gradient must be finite"):
+            solve_p1(np.array(g), 1.0)
+
     def test_rejects_bad_sigma(self):
         with pytest.raises(ValueError):
             solve_p1(np.ones(2), 0.0)
@@ -166,6 +171,8 @@ class TestSolveP2Examples:
             solve_p2(np.ones(2), np.eye(3), 1.0)
         with pytest.raises(ValueError):
             solve_p2(np.array([np.nan, 1.0]), np.eye(2), 1.0)
+        with pytest.raises(ValueError, match="derivatives must be finite"):
+            solve_p2(np.ones(2), np.array([[1.0, np.inf], [np.inf, 1.0]]), 1.0)
         with pytest.raises(ValueError):
             solve_p2(np.ones(2), np.eye(2), -1.0)
 
