@@ -67,6 +67,10 @@ class ProblemOracle:
             raise ValueError(f"{self.name}: expected shape ({self.n},), got {x.shape}")
         return self.evaluator(x)
 
+    def peek(self, x: Array, m: int) -> Array | None:
+        """The f of the next m evaluations at x read ahead, or None: a plain oracle cannot."""
+        return None
+
 
 def _bundle(fn):
     """Evaluator for a suite formula, memoizing the last point it was called at.
@@ -621,6 +625,7 @@ class _NoisyEvaluator:
         self.rng = np.random.default_rng(spec.seed)
         self._factors = np.empty(0)
         self._used = 0
+        self._size = 0  # factors one evaluation takes, as of the last peek
 
     def _next_factors(self, size: int) -> Array:
         i = self._used
@@ -658,16 +663,55 @@ class _NoisyEvaluator:
             H = H * fac[i:].take(_mirror(n)) + 0.0
         return DerivativeBundle._of_symmetric(g, H, f)
 
+    def peek(self, x: Array, m: int) -> Array | None:
+        """The noisy f of the next m evaluations at x, their factors unspent;
+        None unless f, g and H are all noised and a bound 1e8 below DBL_MAX shows
+        each evaluation's f, gradient norm and Hessian finite, however they round."""
+        bundle = self.inner(x)
+        f, g, H = bundle.fvalue, bundle.gradient, bundle.hessian
+        if self.spec.level == 0.0 or self.spec.targets != NOISE_TARGETS or f is None or H is None:
+            return None
+        size = 1 + g.size * (g.size + 3) // 2  # f, g, H's upper triangle
+        fac = self._next_factors(m * size).reshape(m, size)
+        self._used -= m * size  # read, not spent
+        top = float(np.abs(fac).max())
+        gtop = float(np.abs(g).max()) * top
+        if not (abs(f) * top < 1e300 and g.size * (gtop * gtop) < 1e300
+                and float(np.abs(H).max()) * top < 1e300):
+            return None
+        self._size = size
+        return f * fac[:, 0]
+
+    def skip(self, j: int) -> None:
+        """Spend the factors of j evaluations, as peeked."""
+        self._used += j * self._size
+
+
+@dataclass
+class _NoisyOracle(ProblemOracle):
+    """What add_noise returns.  peek and skip reach the noise wrapper through
+    .noise, so that wrapping .evaluator (a timing shim, say) changes neither."""
+
+    noise: _NoisyEvaluator | None = None
+
+    def peek(self, x: Array, m: int) -> Array | None:
+        return self.noise.peek(x, m)
+
+    def skip(self, j: int) -> None:
+        self.noise.skip(j)
+
 
 def add_noise(oracle: ProblemOracle, spec: NoiseSpec) -> ProblemOracle:
     """Wrap an oracle with a private noise stream, seeded from spec.seed."""
-    return ProblemOracle(
+    noise = _NoisyEvaluator(oracle.evaluator, spec)
+    return _NoisyOracle(
         name=oracle.name,
         n=oracle.n,
         x0=oracle.x0.copy(),
-        evaluator=_NoisyEvaluator(oracle.evaluator, spec),
+        evaluator=noise,
         meta=oracle.meta,
         safe_box=oracle.safe_box,
+        noise=noise,
     )
 
 

@@ -106,6 +106,9 @@ _GAMMA2 = 0.5
 _GAMMA3 = 1e20
 _SIGMA_MIN = 1e-4
 
+# Retries at the _GAMMA3 cap that run_ar2 screens in one numpy pass.
+_AHEAD = 256
+
 
 @dataclass
 class Ar2Config:
@@ -302,12 +305,13 @@ def _run_offo(problem, config: OffoConfig, *, second_order: bool) -> RunOutcome:
 def run_ar2(problem, config: Ar2Config) -> RunOutcome:
     """Function-value-based baseline with the standard accept/reject loop.
 
-    Rejected iterations still count (and still cost one objective
-    evaluation); the trace records the ratio rho and the accept flag per
-    iteration.  The step, its norm, its Taylor decrease and the trial point
-    depend only on (x, sigma) and are recomputed only when either changed: at
-    the _GAMMA3 cap a rejection changes neither, so the next iteration reuses
-    the previous solve exactly and repeats only the (noisy) trial evaluation.
+    Rejected iterations still count; the trace records the ratio rho and the
+    accept flag per iteration.  The step, its norm, its Taylor decrease and
+    the trial point depend only on (x, sigma) and are recomputed only when
+    either changed: at the _GAMMA3 cap a rejection changes neither, so only
+    the (noisy) trial evaluation repeats.  There problem.peek reads the f of
+    up to _AHEAD retries ahead: the leading rejections become rows at once,
+    problem.skip spends their noise, and the next retry runs as usual.
     """
     trace = _new_trace(problem, "ar2", config)
 
@@ -327,11 +331,25 @@ def run_ar2(problem, config: Ar2Config) -> RunOutcome:
         if step is None or sigma != step_sigma:
             step = solve_p2(bundle.gradient, bundle.hessian, sigma, eig=eig)
             step_sigma = sigma
-            step_norm = vnorm(step.step)
             decrease = model_terms(RegularizedModel(bundle, sigma, 2), step.step)[0]
             if not (step.model_reduction > 0.0 and decrease > 0.0):
                 raise CertificateError(f"degenerate subproblem solution at iteration {k}")
             trial_x = x + step.step
+            row = dict(grad_norm=gnorm, sigma=sigma, step_norm=vnorm(step.step),
+                       model_reduction=step.model_reduction, min_eig=min_eig,
+                       taylor_grad_norm=step.taylor_grad_norm, fvalue=bundle.fvalue)
+        m = min(_AHEAD, config.max_iter - k)
+        ahead = problem.peek(trial_x, m) if sigma == _GAMMA3 else None
+        if ahead is not None:
+            rho = (bundle.fvalue - ahead) / decrease
+            taken = np.flatnonzero(rho >= _ETA1)
+            j = int(taken[0]) if taken.size else m
+            for r in rho[:j].tolist():
+                trace.append(k=k, rho=r, accepted=0.0, **row)
+                k += 1
+            problem.skip(j)
+            if j == m:
+                continue
         trial = problem.evaluate(trial_x)
         trial_gnorm = trial.finite_grad_norm()
         overflow = (trial.fvalue is None or not math.isfinite(trial.fvalue)
@@ -339,15 +357,7 @@ def run_ar2(problem, config: Ar2Config) -> RunOutcome:
         rho = math.nan if overflow else (bundle.fvalue - trial.fvalue) / decrease
         accepted = rho >= _ETA1
 
-        trace.append(
-            k=k, grad_norm=gnorm, sigma=sigma,
-            step_norm=step_norm,
-            model_reduction=step.model_reduction,
-            taylor_grad_norm=step.taylor_grad_norm,
-            min_eig=min_eig,
-            fvalue=bundle.fvalue, rho=rho,
-            accepted=math.nan if overflow else float(accepted),
-        )
+        trace.append(k=k, rho=rho, accepted=math.nan if overflow else float(accepted), **row)
         k += 1
         if overflow:
             return _finish(trace, RunStatus.ORACLE_OVERFLOW, x, math.nan, k, min_eig,

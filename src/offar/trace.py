@@ -61,8 +61,9 @@ class RunTrace:
         return len(self.rows)
 
     def column(self, name: str) -> np.ndarray:
-        idx = COLUMNS.index(name)
-        return np.array([row[idx] for row in self.rows], dtype=float)
+        if name not in _INDEX:
+            raise ValueError(f"unknown trace column {name!r}; choose from {', '.join(COLUMNS)}")
+        return np.array([row[_INDEX[name]] for row in self.rows], dtype=float)
 
     def to_csv(self, path_or_file) -> None:
         if hasattr(path_or_file, "write"):

@@ -382,3 +382,75 @@ class TestAr2:
         out = run_ar2(po, Ar2Config(eps1=1e-10))
         rho = out.trace.column("rho")
         assert np.all(rho[:-1] > 0.99)  # quadratic: predicted = actual decrease
+
+
+class TestAr2Screen:
+    """At the sigma cap, ar2 screens blocks of noisy retries through the
+    oracle's peek and skip.  A plain ProblemOracle around the same noise
+    wrapper cannot peek, so ar2 evaluates each retry; both runs must match."""
+
+    @staticmethod
+    def both(oracle, spec, config):
+        """The screened and the plain run, after checking they are the same
+        bytes, and how many evaluations the screen skipped."""
+        noisy = add_noise(oracle, spec)
+        skipped, skip = [], noisy.skip
+        noisy.skip = lambda j: (skipped.append(j), skip(j))
+        screened = run_ar2(noisy, config)
+        plain = run_ar2(ProblemOracle(oracle.name, oracle.n, oracle.x0,
+                                      add_noise(oracle, spec).evaluator), config)
+        assert (screened.status, screened.iterations) == (plain.status, plain.iterations)
+        assert (np.array(screened.trace.rows).tobytes()
+                == np.array(plain.trace.rows).tobytes())
+        assert screened.final_x.tobytes() == plain.final_x.tobytes()
+        return screened, sum(skipped)
+
+    @staticmethod
+    def climber(f_trial, g_trial):
+        """f climbs from 1 at the start to f_trial everywhere else, so ar2
+        rejects every step and sigma stays at its cap once there."""
+        def ev(x):
+            if not x.any():
+                return DerivativeBundle(np.array([1.0, 0.0]), np.eye(2), 1.0)
+            return DerivativeBundle(np.array(g_trial), np.eye(2), f_trial)
+
+        return ProblemOracle("climber", 2, np.zeros(2), ev, ProblemMeta())
+
+    @pytest.mark.parametrize("name, level, seed, max_iter", [
+        ("woods", 0.5, 3, 1000), ("woods", 0.5, 3, 555),
+        ("rosenbr", 0.25, 2, 700), ("helix", 0.25, 1, 1234),
+    ])
+    def test_suite_runs_end_inside_a_block(self, name, level, seed, max_iter):
+        out, skipped = self.both(get_problem(name), NoiseSpec(level, seed),
+                                 Ar2Config(eps1=1e-3, max_iter=max_iter))
+        assert out.status == RunStatus.MAX_ITERATIONS
+        sigma, accepted = out.trace.column("sigma"), out.trace.column("accepted")
+        assert sigma[-2] == solvers._GAMMA3 and accepted[-2] == 0.0
+        assert skipped > solvers._AHEAD
+        # Every one of these runs accepts a step at the cap.
+        assert np.any((sigma[:-1] == solvers._GAMMA3) & (accepted[:-1] == 1.0))
+
+    def test_gradient_bound_declines(self):
+        # A trial gradient of 1e154 has a finite norm for most factors but not
+        # all, so the bound declines every block: each retry is evaluated
+        # until one overflows at the cap.
+        out, skipped = self.both(self.climber(2.0, [1e154, 0.0]), NoiseSpec(0.1, 3),
+                                 Ar2Config(eps1=1e-8, max_iter=20000))
+        assert (out.status, out.iterations, skipped) == (RunStatus.ORACLE_OVERFLOW, 772, 0)
+        assert out.trace.column("sigma")[-1] == solvers._GAMMA3
+
+    def test_noisy_f_overflows_at_the_cap(self):
+        out, skipped = self.both(self.climber(1e308, [1.0, 0.0]), NoiseSpec(0.25, 3),
+                                 Ar2Config(eps1=1e-8, max_iter=20000))
+        assert (out.status, out.iterations, skipped) == (RunStatus.ORACLE_OVERFLOW, 995, 0)
+        assert out.trace.column("sigma")[-1] == solvers._GAMMA3
+        assert math.isnan(out.trace.column("rho")[-2])
+
+    def test_screens_a_moderate_climber(self):
+        # The same climber with a moderate trial f and gradient: every retry
+        # at the cap is a rejection, so the screen takes them all.
+        out, skipped = self.both(self.climber(2.0, [1.0, 0.0]), NoiseSpec(0.1, 3),
+                                 Ar2Config(eps1=1e-8, max_iter=1000))
+        assert out.status == RunStatus.MAX_ITERATIONS
+        first = int(np.argmax(out.trace.column("sigma") == solvers._GAMMA3))
+        assert skipped == out.iterations - first

@@ -10,6 +10,7 @@ from offar import (Ar2Config, NoiseSpec, OffoConfig, ProblemMeta, ProblemOracle,
                    run_ar2, run_offar, validate_derivatives)
 from offar.model import DerivativeBundle
 from offar.problems import _BATCH, _bundle, _helix
+from offar.solvers import _AHEAD
 
 # DBL_MAX/2, the largest float64 below 2**1023: symmetrizing h as
 # 0.5 * (h + h.T) keeps an exactly symmetric entry up to it and overflows
@@ -344,28 +345,25 @@ class TestNoiseStreams:
 
     def test_long_run_matches_default_rng_streams(self):
         # One evaluation spends 1 + n + n(n+1)/2 normals and nothing else
-        # draws: after a 1000-iteration ar2 run of N evaluations, the next
-        # evaluation's factors are normals N size .. (N + 1) size of
+        # draws, the screen of ar2's retries at the sigma cap included: after
+        # an ar2 run of K iterations, which makes N = 1 + K evaluations, the
+        # next evaluation's factors are normals N size .. (N + 1) size of
         # default_rng(seed).
         clean = get_problem("woods")
         n = clean.n
-        calls = []
         source = clean.evaluator
-
-        def counted(x):
-            calls.append(1)
-            return source(x)
-
         spec = NoiseSpec(level=0.5, seed=3)
-        problem = add_noise(ProblemOracle("woods", n, clean.x0, counted), spec)
-        run_ar2(problem, Ar2Config(eps1=1e-3, max_iter=1000))
-        assert len(calls) > 1000
+        problem = add_noise(ProblemOracle("woods", n, clean.x0, lambda x: source(x)), spec)
+        out = run_ar2(problem, Ar2Config(eps1=1e-3, max_iter=1000))
+        assert out.iterations == 1000
+        at_cap = out.trace.column("sigma")[:-1] == 1e20
+        assert at_cap.sum() > _AHEAD  # more retries than one screened block
         size = 1 + n + n * (n + 1) // 2
         ref = np.random.default_rng(spec.seed)
-        ref.standard_normal(len(calls) * size)
+        ref.standard_normal((1 + out.iterations) * size)
         expected = 1.0 + spec.level * ref.standard_normal(size)
 
-        # counted now answers with ones, which come back as their factors.
+        # The oracle now answers with ones, which come back as their factors.
         def source(x):
             return DerivativeBundle(np.ones(n), np.ones((n, n)), 1.0)
 

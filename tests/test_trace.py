@@ -45,6 +45,11 @@ class TestContainer:
         got = tr.column("sigma")
         assert got[0] == 0.5 and got[1] == 1.0 / 3.0 and math.isnan(got[2])
 
+    def test_unknown_column_named_with_choices(self):
+        with pytest.raises(ValueError, match=r"^unknown trace column 'sigmaa'; "
+                                             r"choose from k, grad_norm, sigma, .*, accepted$"):
+            sample_trace().column("sigmaa")
+
     def test_len(self):
         assert len(sample_trace()) == 3
 
