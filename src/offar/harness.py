@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .problems import NoiseSpec, ProblemOracle, add_noise, make_suite
+from .problems import NoiseSpec, ProblemOracle, add_noise, check_noise_level, make_suite
 from .profiles import ProfileTable, compute_profile
 from .solvers import (Ar2Config, OffoConfig, RunOutcome, RunStatus, run_ar2,
                       run_moffar, run_offar)
@@ -60,7 +60,8 @@ def run_single(
 
     eps2 is read only by moffar2, strict and nu0 only by the derivative-only
     drivers, sigma0 only by ar2 (None means Ar2Config's default); setting one
-    the chosen algorithm does not read raises ValueError.
+    the chosen algorithm does not read raises ValueError, as does a
+    noise_level outside [0, 1]; level 0 runs clean.
     """
     _check_algorithm(algorithm)
     unread = [name for name, given, read in (
@@ -71,6 +72,7 @@ def run_single(
     ) if given and not read]
     if unread:
         raise ValueError(f"{algorithm} does not read {', '.join(unread)}")
+    check_noise_level(noise_level)
     problem = oracle
     if noise_level > 0.0:
         targets = {"gradient", "hessian"}
@@ -124,8 +126,9 @@ def run_bench(
     eps1 = None picks the tolerance per level (1e-6 clean, 1e-3 noisy).
     Level 0 is deterministic, so it runs once regardless of the seed list
     and feeds the performance profile.  A value listed twice in any of the
-    four lists raises ValueError, as does an empty list; an unknown algorithm
-    raises run_single's KeyError.  All before the first run.
+    four lists raises ValueError, as does an empty list or a noise level
+    outside [0, 1]; an unknown algorithm raises run_single's KeyError.  All
+    before the first run.
     """
     oracles = list(oracles) if oracles is not None else make_suite()
     algorithms = tuple(algorithms)
@@ -141,6 +144,8 @@ def run_bench(
             raise ValueError(f"{label} {repeated[0]!r} is listed twice")
     for alg in algorithms:
         _check_algorithm(alg)
+    for level in levels:
+        check_noise_level(level)
 
     eps_by_level = {
         level: (eps1 if eps1 is not None else (EPS_CLEAN if level == 0.0 else EPS_NOISY))

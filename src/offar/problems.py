@@ -73,32 +73,15 @@ class ProblemOracle:
 
 
 def _bundle(fn):
-    """Evaluator for a suite formula, memoizing the last point it was called at.
+    """Evaluator for a suite formula f, g, H = fn(x).
 
-    The suite's formulas are pure functions of x, so a repeat call with the
-    same bytes (ar2 retries one trial point after each rejection at the sigma
-    cap) returns the same bundle, its arrays made read-only; -0.0 and +0.0
-    differ in bytes and recompute.  The memo is not in the noise wrapper or
-    ProblemOracle.evaluate: those take any evaluator, including scripted ones
-    that answer by call count, and the wrapper draws fresh noise per call.
     A formula returns a float, a fresh float64 vector and an exactly
     symmetric float64 matrix (test_formula_shapes pins this), so the bundle
     is built without the constructor's symmetrization.
     """
-    last = (None, None)
-
     def evaluator(x: Array) -> DerivativeBundle:
-        nonlocal last
-        key = x.tobytes()
-        last_key, bundle = last
-        if key == last_key:
-            return bundle
         f, g, H = fn(x)
-        bundle = DerivativeBundle._of_symmetric(g, H, f)
-        bundle.gradient.setflags(write=False)
-        bundle.hessian.setflags(write=False)
-        last = (key, bundle)
-        return bundle
+        return DerivativeBundle._of_symmetric(g, H, f)
 
     return evaluator
 
@@ -571,6 +554,12 @@ def get_problem(name: str) -> ProblemOracle:
 NOISE_TARGETS = frozenset({"function", "gradient", "hessian"})
 
 
+def check_noise_level(level: float) -> None:
+    """Raise ValueError unless 0 <= level <= 1; NaN fails too."""
+    if not 0.0 <= level <= 1.0:
+        raise ValueError(f"noise level must lie in [0, 1], got {level}")
+
+
 @dataclass(frozen=True)
 class NoiseSpec:
     """Multiplicative Gaussian noise: q -> q (1 + level z), z ~ N(0,1).
@@ -588,8 +577,7 @@ class NoiseSpec:
     targets: frozenset = NOISE_TARGETS
 
     def __post_init__(self):
-        if not 0.0 <= self.level <= 1.0:
-            raise ValueError(f"noise level must lie in [0, 1], got {self.level}")
+        check_noise_level(self.level)
         if not isinstance(self.seed, numbers.Integral) or self.seed < 0:
             raise ValueError(f"noise seed must be a nonnegative integer, got {self.seed!r}")
         bad = set(self.targets) - NOISE_TARGETS

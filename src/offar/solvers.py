@@ -306,12 +306,12 @@ def run_ar2(problem, config: Ar2Config) -> RunOutcome:
     """Function-value-based baseline with the standard accept/reject loop.
 
     Rejected iterations still count; the trace records the ratio rho and the
-    accept flag per iteration.  The step, its norm, its Taylor decrease and
-    the trial point depend only on (x, sigma) and are recomputed only when
-    either changed: at the _GAMMA3 cap a rejection changes neither, so only
-    the (noisy) trial evaluation repeats.  There problem.peek reads the f of
-    up to _AHEAD retries ahead: the leading rejections become rows at once,
-    problem.skip spends their noise, and the next retry runs as usual.
+    accept flag per iteration.  Each loop pass solves at the current
+    (x, sigma).  At the _GAMMA3 cap a rejection changes neither, so a retry
+    only reads one more (noisy) f at the same trial point.  There
+    problem.peek reads the f of up to _AHEAD retries ahead: the leading
+    rejections become rows at once, problem.skip spends their noise, and the
+    next retry runs as usual; one solve covers the whole screened block.
     """
     trace = _new_trace(problem, "ar2", config)
 
@@ -326,18 +326,15 @@ def run_ar2(problem, config: Ar2Config) -> RunOutcome:
     sigma = config.sigma0
 
     k = 0
-    step = step_sigma = None
     while not gnorm <= config.eps1 and k < config.max_iter:
-        if step is None or sigma != step_sigma:
-            step = solve_p2(bundle.gradient, bundle.hessian, sigma, eig=eig)
-            step_sigma = sigma
-            decrease = model_terms(RegularizedModel(bundle, sigma, 2), step.step)[0]
-            if not (step.model_reduction > 0.0 and decrease > 0.0):
-                raise CertificateError(f"degenerate subproblem solution at iteration {k}")
-            trial_x = x + step.step
-            row = dict(grad_norm=gnorm, sigma=sigma, step_norm=vnorm(step.step),
-                       model_reduction=step.model_reduction, min_eig=min_eig,
-                       taylor_grad_norm=step.taylor_grad_norm, fvalue=bundle.fvalue)
+        step = solve_p2(bundle.gradient, bundle.hessian, sigma, eig=eig)
+        decrease = model_terms(RegularizedModel(bundle, sigma, 2), step.step)[0]
+        if not (step.model_reduction > 0.0 and decrease > 0.0):
+            raise CertificateError(f"degenerate subproblem solution at iteration {k}")
+        trial_x = x + step.step
+        row = dict(grad_norm=gnorm, sigma=sigma, step_norm=vnorm(step.step),
+                   model_reduction=step.model_reduction, min_eig=min_eig,
+                   taylor_grad_norm=step.taylor_grad_norm, fvalue=bundle.fvalue)
         m = min(_AHEAD, config.max_iter - k)
         ahead = problem.peek(trial_x, m) if sigma == _GAMMA3 else None
         if ahead is not None:
@@ -368,7 +365,6 @@ def run_ar2(problem, config: Ar2Config) -> RunOutcome:
             bundle = trial
             gnorm = trial_gnorm
             eig, min_eig = _factorize(bundle)
-            step = None
             if rho >= _ETA2:
                 sigma = max(_SIGMA_MIN, _GAMMA2 * sigma)
         else:

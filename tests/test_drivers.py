@@ -326,36 +326,6 @@ class TestAr2:
         assert np.all(acc[:-1] == 0.0)
         assert out.trace.column("sigma")[-1] == pytest.approx(1e20)
 
-    def test_step_reused_while_x_and_sigma_hold(self, monkeypatch):
-        # Rejections up to the 1e20 cap, then one accepted step at the cap
-        # (rho huge, sigma halves), then rejections again: one solve per
-        # distinct (x, sigma), however many iterations revisit it.
-        calls = []
-
-        def counting_solve_p2(g, H, sigma, **kwargs):
-            calls.append((g.tobytes(), sigma))
-            return solve_p2(g, H, sigma, **kwargs)
-
-        monkeypatch.setattr(solvers, "solve_p2", counting_solve_p2)
-        evals = itertools.count()
-
-        def ev(x):
-            if np.all(x == 0.0):
-                f = 1.0
-            else:
-                f = 2.0 if next(evals) < 80 else -1.0
-            return DerivativeBundle(x + np.array([1.0, 0.0]), np.eye(2), f)
-
-        po = ProblemOracle("liar", 2, np.zeros(2), ev, ProblemMeta())
-        out = run_ar2(po, Ar2Config(eps1=1e-8, max_iter=120))
-        acc = out.trace.column("accepted")[:-1]
-        sigma = out.trace.column("sigma")[:-1]
-        assert acc.sum() == 1.0 and out.iterations == 120
-        point = np.concatenate(([0.0], np.cumsum(acc)[:-1]))
-        visited = list(dict.fromkeys(zip(point, sigma)))
-        assert len(calls) == len(set(calls)) == len(visited) < out.iterations
-        assert [s for _, s in calls] == [s for _, s in visited]
-
     def test_overflow_on_trial(self):
         def ev(x):
             f = 1.0 if np.all(x == 0.0) else math.inf
@@ -454,3 +424,19 @@ class TestAr2Screen:
         assert out.status == RunStatus.MAX_ITERATIONS
         first = int(np.argmax(out.trace.column("sigma") == solvers._GAMMA3))
         assert skipped == out.iterations - first
+
+    def test_one_solve_per_screened_block(self, monkeypatch):
+        # Past the cap each loop pass solves once and screens a block of up
+        # to _AHEAD retries; without the screen every retry would solve.
+        solves = []
+
+        def counting_solve_p2(*args, **kwargs):
+            solves.append(None)
+            return solve_p2(*args, **kwargs)
+
+        monkeypatch.setattr(solvers, "solve_p2", counting_solve_p2)
+        out = run_ar2(add_noise(self.climber(2.0, [1.0, 0.0]), NoiseSpec(0.1, 3)),
+                      Ar2Config(eps1=1e-8, max_iter=1000))
+        first = int(np.argmax(out.trace.column("sigma") == solvers._GAMMA3))
+        assert 0 < first < out.iterations == 1000
+        assert len(solves) <= first + math.ceil((out.iterations - first) / solvers._AHEAD)

@@ -64,6 +64,12 @@ class TestRunSingle:
         assert clean.trace.seed is None
         assert noisy.trace.seed == 5
 
+    @pytest.mark.parametrize("level", [-0.5, -1e-300, float("nan")])
+    def test_rejects_a_noise_level_outside_unit_interval(self, level):
+        # A negative or NaN level used to fail the level > 0 test and run clean.
+        with pytest.raises(ValueError, match=r"^noise level must lie in \[0, 1\], got"):
+            run_single(get_problem("cube"), "offar2a", eps1=1e-6, noise_level=level)
+
     def test_noise_replay_and_variation(self):
         po = get_problem("cube")
         kw = dict(eps1=1e-3, noise_level=0.25, max_iter=2000)
@@ -164,6 +170,14 @@ class TestRunBench:
             run_bench([get_problem("cube"), get_problem("beale")], ("offar2a", "bogus"))
         assert calls == []
 
+    @pytest.mark.parametrize("levels", [(0.0, -0.5), (0.25, float("nan"))])
+    def test_rejects_a_bad_noise_level_before_running(self, monkeypatch, levels):
+        calls = []
+        monkeypatch.setattr(harness, "run_single", lambda *a, **k: calls.append(a))
+        with pytest.raises(ValueError, match=r"^noise level must lie in \[0, 1\], got"):
+            run_bench([get_problem("cube")], ("offar2a",), levels)
+        assert calls == []
+
 
 class TestCsvWriters:
     @pytest.fixture
@@ -259,11 +273,18 @@ class TestCli:
          "problem 'cube' is listed twice"),
         (["run", "--problem", "cube", "--alg", "ar2", "--noise", "0.5", "--seed", "-1"],
          "noise seed must be a nonnegative integer, got -1"),
+        (["run", "--problem", "cube", "--alg", "offar2a", "--noise", "-0.5"],
+         "noise level must lie in [0, 1], got -0.5"),
+        (["run", "--problem", "cube", "--alg", "offar2a", "--noise", "nan"],
+         "noise level must lie in [0, 1], got nan"),
+        (["bench", "--alg", "offar2a", "--problems", "cube", "--noise", "-0.5"],
+         "noise level must lie in [0, 1], got -0.5"),
         (["run", "--problem", "nosuch", "--alg", "offar2a"],
          "unknown problem 'nosuch'; choose from " + ", ".join(SUITE_NAMES)),
         (["bench", "--alg", "offar2a,bogus", "--problems", "cube"],
          "unknown algorithm 'bogus'; choose from offar1, offar2a, offar2b, moffar2, ar2"),
     ], ids=["bench-level-twice", "bench-problem-twice", "run-negative-seed",
+            "run-negative-level", "run-nan-level", "bench-negative-level",
             "run-unknown-problem", "bench-unknown-algorithm"])
     def test_usage_error_names_the_bad_value(self, argv, message, capsys):
         assert main(argv) == 1

@@ -371,45 +371,9 @@ class TestNoiseStreams:
         assert ours.tobytes() == expected.tobytes()
 
 
-class TestMemo:
-    @staticmethod
-    def counting_evaluator():
-        calls = []
-
-        def formula(x):
-            calls.append(x.copy())
-            return float(x @ x), 2.0 * x, 2.0 * np.eye(x.size)
-
-        return _bundle(formula), calls
-
-    def test_repeat_point_evaluates_once(self):
-        ev, calls = self.counting_evaluator()
-        x = np.array([1.0, -2.0])
-        first = ev(x)
-        assert ev(x.copy()) is first and len(calls) == 1
-        other = ev(np.array([1.0, 2.0]))
-        assert other is not first and len(calls) == 2
-        np.testing.assert_array_equal(other.gradient, [2.0, 4.0])
-        # one slot: going back to x recomputes
-        assert ev(x) is not first and len(calls) == 3
-
-    def test_signed_zero_recomputes(self):
-        ev, calls = self.counting_evaluator()
-        pos = ev(np.array([0.0, 1.0]))
-        neg = ev(np.array([-0.0, 1.0]))
-        assert len(calls) == 2
-        assert not np.signbit(pos.gradient[0]) and np.signbit(neg.gradient[0])
-
-    def test_cached_arrays_are_read_only(self):
-        ev, _ = self.counting_evaluator()
-        bundle = ev(np.array([1.0, 1.0]))
-        with pytest.raises(ValueError):
-            bundle.gradient[0] = 0.0
-        with pytest.raises(ValueError):
-            bundle.hessian[0, 0] = 0.0
-
+class TestBundleBuild:
     def test_boundary_entries_match_constructor(self):
-        # The memo builds its bundle without the constructor's symmetrization
+        # _bundle builds its bundle without the constructor's symmetrization
         # and keeps its one effect on a symmetric H: 2**1023 overflows to inf.
         n = 4
         H = symmetric(n, [2.0**1023, -(2.0**1023), HALF_MAX, -HALF_MAX, -0.0,
@@ -421,9 +385,3 @@ class TestMemo:
         assert same_bytes(new, old)
         assert new.hessian[0, 0] == math.inf and new.hessian[0, 1] == -math.inf
         assert new.hessian[0, 2] == HALF_MAX and new.hessian[0, 3] == -HALF_MAX
-
-    def test_suite_oracle_memoizes(self):
-        po = get_problem("woods")
-        a = po.evaluate(po.x0)
-        assert po.evaluate(po.x0.copy()) is a
-        assert po.evaluate(po.x0 + 1.0) is not a

@@ -25,15 +25,17 @@ from offar.subsolver import _HARD_CASE_RTOL, _secular_root
 
 @functools.lru_cache(maxsize=1)
 def _grid_1d(radius, h):
-    """The grid of grid_min_1d, built once per (radius, h) and read-only."""
+    """The grid s of grid_min_1d and |s|^3, built once per (radius, h) and
+    read-only."""
     s = np.arange(-radius, radius + h, h)
-    s.flags.writeable = False
-    return s
+    cube = np.abs(s) ** 3
+    s.flags.writeable = cube.flags.writeable = False
+    return s, cube
 
 
 def grid_min_1d(g1, H1, sigma, radius=3.0, h=1e-6):
-    s = _grid_1d(radius, h)
-    m = g1 * s + 0.5 * H1 * s * s + sigma / 6.0 * np.abs(s) ** 3
+    s, cube = _grid_1d(radius, h)
+    m = g1 * s + 0.5 * H1 * s * s + sigma / 6.0 * cube
     i = int(np.argmin(m))
     return float(s[i]), float(m[i])
 
@@ -75,6 +77,13 @@ def bisect_multiplier(g1, H1, sigma, tol=1e-13):
         else:
             hi = mid
     return 0.5 * (lo + hi)
+
+
+class TestGrid1d:
+    def test_cached_cube_is_the_grid_cubed(self):
+        s, cube = _grid_1d(2.0, 1e-6)
+        assert cube.tobytes() == (np.abs(s) ** 3).tobytes()
+        assert not s.flags.writeable and not cube.flags.writeable
 
 
 class TestSolveP1:
