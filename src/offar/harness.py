@@ -75,10 +75,7 @@ def run_single(
     check_noise_level(noise_level)
     problem = oracle
     if noise_level > 0.0:
-        targets = {"gradient", "hessian"}
-        if algorithm == "ar2":
-            targets.add("function")
-        problem = add_noise(oracle, NoiseSpec(noise_level, seed, frozenset(targets)))
+        problem = add_noise(oracle, NoiseSpec(noise_level, seed, fvalue=algorithm == "ar2"))
     if algorithm == "ar2":
         if sigma0 is None:
             sigma0 = Ar2Config.sigma0

@@ -42,6 +42,16 @@ def all_finite(a: Array) -> bool:
     return np.vdot(a, _zeros(a.size)) == 0.0
 
 
+def _symmetric(h: Array) -> Array:
+    """A copy of the float64 matrix h when it equals its transpose bit for bit
+    (-0.0 against +0.0 counts as a difference), else 0.5 * h + 0.5 * h.T,
+    which, unlike 0.5 * (h + h.T), keeps every finite entry finite."""
+    bits = h.view(np.int64)
+    if np.array_equal(bits, bits.T):
+        return h.copy()
+    return 0.5 * h + 0.5 * h.T
+
+
 def _as_vector(x) -> Array:
     v = np.asarray(x, dtype=float)
     if v.ndim == 0:
@@ -56,10 +66,10 @@ class DerivativeBundle:
     """Derivatives of the objective at one point.
 
     ``fvalue`` is diagnostic only; the derivative-only solvers never read it.
-    The Hessian, when present, is symmetrized on ingestion so downstream
-    eigenvalue computations see an exactly symmetric matrix.  The suite
-    formulas and the noise wrapper, whose Hessians are exactly symmetric
-    already, build theirs with :meth:`_of_symmetric` instead.
+    The Hessian, when present, is symmetrized on ingestion (:func:`_symmetric`)
+    so downstream eigenvalue computations see an exactly symmetric matrix.
+    The suite formulas and the noise wrapper, whose Hessians are exactly
+    symmetric already, build theirs with :meth:`_of_symmetric` instead.
     """
 
     gradient: Array
@@ -75,7 +85,7 @@ class DerivativeBundle:
                 raise ValueError(
                     f"hessian shape {h.shape} does not match gradient size {n}"
                 )
-            self.hessian = 0.5 * (h + h.T)
+            self.hessian = _symmetric(h)
         if self.fvalue is not None:
             self.fvalue = float(self.fvalue)
 
@@ -84,12 +94,7 @@ class DerivativeBundle:
                       fvalue: float | None) -> DerivativeBundle:
         """The constructor's bundle, bit for bit, from a float64 vector, an
         exactly symmetric float64 matrix of matching shape (or None) and a
-        float (or None), without its checks and copies.  On such a matrix the
-        constructor's 0.5 * (h + h.T) only turns entries above DBL_MAX/2 into
-        +-inf; a finite np.vdot(h, h) rules those out, and np.vdot raises no
-        floating-point warning."""
-        if hessian is not None and not np.vdot(hessian, hessian) < math.inf:
-            hessian = 0.5 * (hessian + hessian)
+        float (or None), without its checks and copies."""
         bundle = object.__new__(cls)
         bundle.gradient, bundle.hessian, bundle.fvalue = gradient, hessian, fvalue
         return bundle

@@ -32,7 +32,7 @@ from __future__ import annotations
 import functools
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
@@ -60,6 +60,8 @@ class ProblemOracle:
     evaluator: Callable[[Array], DerivativeBundle]
     meta: ProblemMeta = field(default_factory=ProblemMeta)
     safe_box: tuple[Array, Array] | None = None
+    # add_noise's wrapper, which evaluator calls, directly or through a shim.
+    noise: _NoisyEvaluator | None = None
 
     def evaluate(self, x) -> DerivativeBundle:
         x = np.asarray(x, dtype=float)
@@ -68,8 +70,14 @@ class ProblemOracle:
         return self.evaluator(x)
 
     def peek(self, x: Array, m: int) -> Array | None:
-        """The f of the next m evaluations at x read ahead, or None: a plain oracle cannot."""
-        return None
+        """The f of the next m evaluations at x read ahead, or None: only a
+        noisy oracle can, and it reaches its wrapper through .noise, so that
+        wrapping .evaluator (a timing shim, say) changes neither this nor skip."""
+        return None if self.noise is None else self.noise.peek(x, m)
+
+    def skip(self, j: int) -> None:
+        """Spend the noise of j evaluations, as peeked."""
+        self.noise.skip(j)
 
 
 def _bundle(fn):
@@ -551,9 +559,6 @@ def get_problem(name: str) -> ProblemOracle:
     raise KeyError(f"unknown problem {name!r}; choose from {', '.join(SUITE_NAMES)}")
 
 
-NOISE_TARGETS = frozenset({"function", "gradient", "hessian"})
-
-
 def check_noise_level(level: float) -> None:
     """Raise ValueError unless 0 <= level <= 1; NaN fails too."""
     if not 0.0 <= level <= 1.0:
@@ -564,25 +569,23 @@ def check_noise_level(level: float) -> None:
 class NoiseSpec:
     """Multiplicative Gaussian noise: q -> q (1 + level z), z ~ N(0,1).
 
-    Each wrapper reads one np.random.default_rng(seed) stream: every
-    evaluation takes the next consecutive normals of it and spends them in a
-    fixed order: function scalar, gradient entries, Hessian upper triangle
-    (each only where targeted and present).  So the same spec and the same
-    sequence of calls replay bit-identically, and level 0 is an exact
-    passthrough.  The seed must be a nonnegative integer.
+    The gradient and the Hessian (when present) are always noised, the
+    function value (when present) only if fvalue.  Each wrapper reads one
+    np.random.default_rng(seed) stream: every evaluation takes the next
+    consecutive normals of it and spends them in a fixed order: function
+    scalar, gradient entries, Hessian upper triangle.  So the same spec and
+    the same sequence of calls replay bit-identically.  The seed must be a
+    nonnegative integer.
     """
 
     level: float
     seed: int
-    targets: frozenset = NOISE_TARGETS
+    fvalue: bool = True
 
     def __post_init__(self):
         check_noise_level(self.level)
         if not isinstance(self.seed, numbers.Integral) or self.seed < 0:
             raise ValueError(f"noise seed must be a nonnegative integer, got {self.seed!r}")
-        bad = set(self.targets) - NOISE_TARGETS
-        if bad:
-            raise ValueError(f"unknown noise targets: {sorted(bad)}")
 
 
 # Normals a noise wrapper draws at a time; a woods (n = 12) evaluation spends
@@ -626,38 +629,29 @@ class _NoisyEvaluator:
 
     def __call__(self, x: Array) -> DerivativeBundle:
         bundle = self.inner(x)
-        spec = self.spec
-        if spec.level == 0.0:
-            return bundle
         f, g, H = bundle.fvalue, bundle.gradient, bundle.hessian
-        noise_f = "function" in spec.targets and f is not None
-        noise_g = "gradient" in spec.targets
-        noise_h = "hessian" in spec.targets and H is not None
+        noise_f = self.spec.fvalue and f is not None
         n = g.size
-        size = noise_f + (n if noise_g else 0) + (n * (n + 1) // 2 if noise_h else 0)
+        size = noise_f + n + (0 if H is None else n * (n + 1) // 2)
         fac = self._next_factors(size)
-        i = 0
         if noise_f:
             f = float(f * fac[0])
-            i = 1
-        if noise_g:
-            g = g * fac[i : i + n]
-            i += n
-        if noise_h:
+        g = g * fac[noise_f : noise_f + n]
+        if H is not None:
             # DerivativeBundle Hessians are exactly symmetric, so scaling each
             # entry by its triangle twin's factor mirrors the noised triangle.
             # + 0.0 turns -0.0 into +0.0, as the three-term build
             # Hn + Hn.T - diag(Hn) of the noised triangle Hn does.
-            H = H * fac[i:].take(_mirror(n)) + 0.0
+            H = H * fac[noise_f + n :].take(_mirror(n)) + 0.0
         return DerivativeBundle._of_symmetric(g, H, f)
 
     def peek(self, x: Array, m: int) -> Array | None:
         """The noisy f of the next m evaluations at x, their factors unspent;
-        None unless f, g and H are all noised and a bound 1e8 below DBL_MAX shows
+        None unless f is noised, H present, and a bound 1e8 below DBL_MAX shows
         each evaluation's f, gradient norm and Hessian finite, however they round."""
         bundle = self.inner(x)
         f, g, H = bundle.fvalue, bundle.gradient, bundle.hessian
-        if self.spec.level == 0.0 or self.spec.targets != NOISE_TARGETS or f is None or H is None:
+        if not self.spec.fvalue or f is None or H is None:
             return None
         size = 1 + g.size * (g.size + 3) // 2  # f, g, H's upper triangle
         fac = self._next_factors(m * size).reshape(m, size)
@@ -675,32 +669,14 @@ class _NoisyEvaluator:
         self._used += j * self._size
 
 
-@dataclass
-class _NoisyOracle(ProblemOracle):
-    """What add_noise returns.  peek and skip reach the noise wrapper through
-    .noise, so that wrapping .evaluator (a timing shim, say) changes neither."""
-
-    noise: _NoisyEvaluator | None = None
-
-    def peek(self, x: Array, m: int) -> Array | None:
-        return self.noise.peek(x, m)
-
-    def skip(self, j: int) -> None:
-        self.noise.skip(j)
-
-
 def add_noise(oracle: ProblemOracle, spec: NoiseSpec) -> ProblemOracle:
-    """Wrap an oracle with a private noise stream, seeded from spec.seed."""
+    """A copy of the oracle whose evaluations are noised from a private
+    stream, seeded from spec.seed; at level 0, a copy with no wrapper."""
+    x0 = oracle.x0.copy()
+    if spec.level == 0.0:
+        return replace(oracle, x0=x0)
     noise = _NoisyEvaluator(oracle.evaluator, spec)
-    return _NoisyOracle(
-        name=oracle.name,
-        n=oracle.n,
-        x0=oracle.x0.copy(),
-        evaluator=noise,
-        meta=oracle.meta,
-        safe_box=oracle.safe_box,
-        noise=noise,
-    )
+    return replace(oracle, x0=x0, evaluator=noise, noise=noise)
 
 
 @dataclass

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import RegularizedModel, all_finite, model_terms, vnorm
+from .model import RegularizedModel, _symmetric, all_finite, model_terms, vnorm
 
 Array = np.ndarray
 
@@ -142,7 +142,7 @@ def solve_p2(g, H, sigma: float, *, eig=None) -> StepResult:
         raise ValueError(f"sigma must be positive and finite, got {sigma}")
 
     if eig is None:
-        H = 0.5 * (H + H.T)
+        H = _symmetric(H)
         eig = np.linalg.eigh(H)
     w, Q = eig
     lam1 = float(w[0])

@@ -275,15 +275,11 @@ def run_divergence(H: float, theta1: float, iters: int) -> DivergenceRun:
     for lhs, rhs in checks:
         _check(lhs <= rhs * (1.0 + 1e-12), "bounded-Hessian compatibility failed")
 
+    # mu1 < sigma, so max(sigma, mu1) keeps sigma and every step adds closed.
     xs = np.zeros((iters + 1, 2))
+    np.cumsum(np.broadcast_to(closed, (iters, 2)), axis=0, out=xs[1:])
     sigmas = np.full(iters, sigma)
     mu1s = np.full(iters, mu1)
-    x = np.zeros(2)
-    for k in range(iters):
-        new_sigma = max(sigma, mu1)
-        _check(new_sigma == sigma, "simplified update moved sigma")
-        x = x + closed
-        xs[k + 1] = x
     return DivergenceRun(H=H, theta1=theta1, iterations=iters, sigma=sigma,
                          step=closed, gradient=g, xs=xs, sigmas=sigmas,
                          mu1s=mu1s, max_identity_error=identity_err)

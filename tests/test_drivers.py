@@ -360,10 +360,14 @@ class TestAr2Screen:
     wrapper cannot peek, so ar2 evaluates each retry; both runs must match."""
 
     @staticmethod
-    def both(oracle, spec, config):
+    def both(oracle, spec, config, shim=False):
         """The screened and the plain run, after checking they are the same
-        bytes, and how many evaluations the screen skipped."""
+        bytes, and how many evaluations the screen skipped.  With shim, the
+        screened oracle's evaluator is wrapped as a timing shim would be."""
         noisy = add_noise(oracle, spec)
+        if shim:
+            wrapper = noisy.evaluator
+            noisy.evaluator = lambda x: wrapper(x)
         skipped, skip = [], noisy.skip
         noisy.skip = lambda j: (skipped.append(j), skip(j))
         screened = run_ar2(noisy, config)
@@ -399,6 +403,14 @@ class TestAr2Screen:
         assert skipped > solvers._AHEAD
         # Every one of these runs accepts a step at the cap.
         assert np.any((sigma[:-1] == solvers._GAMMA3) & (accepted[:-1] == 1.0))
+
+    def test_screen_sees_through_a_shim(self):
+        # peek and skip reach the noise wrapper through .noise, not through
+        # .evaluator, so a shim around the evaluator leaves the screen on.
+        out, skipped = self.both(get_problem("woods"), NoiseSpec(0.5, 3),
+                                 Ar2Config(eps1=1e-3, max_iter=1000), shim=True)
+        assert out.status == RunStatus.MAX_ITERATIONS
+        assert skipped > solvers._AHEAD
 
     def test_gradient_bound_declines(self):
         # A trial gradient of 1e154 has a finite norm for most factors but not

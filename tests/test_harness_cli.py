@@ -84,7 +84,7 @@ class TestRunSingle:
         # Under noise, offar2a is the default-configured driver on the noisy oracle.
         po = get_problem(name)
         got = run_single(po, "offar2a", eps1=1e-3, noise_level=0.25, seed=1, max_iter=200)
-        noisy = add_noise(po, NoiseSpec(0.25, 1, frozenset({"gradient", "hessian"})))
+        noisy = add_noise(po, NoiseSpec(0.25, 1, fvalue=False))
         want = run_offar(noisy, OffoConfig(eps1=1e-3, max_iter=200))
         assert (got.status, got.iterations) == (want.status, want.iterations)
         assert got.trace.config_hash == want.trace.config_hash
