@@ -1,15 +1,16 @@
 """Desk-scale smooth test problems with exact gradients and Hessians.
 
-Each oracle returns a DerivativeBundle (f, g, H).  Dimensions are fixed per
-problem; every problem declares a safe box around its start point on which
-the evaluator is finite and the analytic derivatives can be validated
-against central finite differences.
+Each oracle returns a DerivativeBundle (f, g and, asked for degree 2, H).
+Dimensions are fixed per problem; every problem declares a safe box around
+its start point on which the evaluator is finite and the analytic
+derivatives can be validated against central finite differences.
 
 At n <= 12 a numpy call costs more than its arithmetic, so the formulas read
 x once with x.tolist(), compute in Python floats and build g and H once at
-the end.  They give, bit for bit, what the same formula written on numpy
-arrays gives (tests/data/oracle_values.json pins them), and a new formula
-keeps the three rules that make that so:
+the end; asked for degree 1, they return right after g, with H None.  They
+give, bit for bit, what the same formula written on numpy arrays gives
+(tests/data/oracle_values.json pins them), and a new formula keeps the three
+rules that make that so:
 
 - A square of an array's entries is a * a, as numpy squares arrays; a power
   of one numpy scalar is libm pow, _pow(a, k), as numpy scalars compute it.
@@ -54,20 +55,27 @@ class ProblemMeta:
 
 @dataclass
 class ProblemOracle:
+    """A problem of dimension n with start x0 and an evaluator.
+
+    evaluate(x, degree) asks evaluator(x, degree) for the derivatives up to
+    degree: 2 for a bundle with a Hessian, 1 for one without it (an evaluator
+    may return more than asked).  Degree 2 is the default; offar1 asks for 1.
+    """
+
     name: str
     n: int
     x0: Array
-    evaluator: Callable[[Array], DerivativeBundle]
+    evaluator: Callable[[Array, int], DerivativeBundle]
     meta: ProblemMeta = field(default_factory=ProblemMeta)
     safe_box: tuple[Array, Array] | None = None
     # add_noise's wrapper, which evaluator calls, directly or through a shim.
     noise: _NoisyEvaluator | None = None
 
-    def evaluate(self, x) -> DerivativeBundle:
+    def evaluate(self, x, degree: int = 2) -> DerivativeBundle:
         x = np.asarray(x, dtype=float)
         if x.shape != (self.n,):
             raise ValueError(f"{self.name}: expected shape ({self.n},), got {x.shape}")
-        return self.evaluator(x)
+        return self.evaluator(x, degree)
 
     def peek(self, x: Array, m: int) -> Array | None:
         """The f of the next m evaluations at x read ahead, or None: only a
@@ -81,14 +89,16 @@ class ProblemOracle:
 
 
 def _bundle(fn):
-    """Evaluator for a suite formula f, g, H = fn(x).
+    """Evaluator for a suite formula f, g, H = fn(x, degree).
 
-    A formula returns a float, a fresh float64 vector and an exactly
-    symmetric float64 matrix (test_formula_shapes pins this), so the bundle
-    is built without the constructor's symmetrization.
+    A formula returns a float, a fresh float64 vector and, at degree 2, an
+    exactly symmetric float64 matrix; at degree 1 it returns None for H, its
+    f and g bit for bit those of degree 2 (test_formula_shapes and
+    test_degree_one_values pin this).  So the bundle is built without the
+    constructor's symmetrization.
     """
-    def evaluator(x: Array) -> DerivativeBundle:
-        f, g, H = fn(x)
+    def evaluator(x: Array, degree: int) -> DerivativeBundle:
+        f, g, H = fn(x, degree)
         return DerivativeBundle._of_symmetric(g, H, f)
 
     return evaluator
@@ -153,7 +163,7 @@ def _arrow(n: int) -> Array:
     return np.concatenate((np.arange(n) * (n + 1), i * n + n - 1, (n - 1) * n + i))
 
 
-def _rosenbrock(x):
+def _rosenbrock(x, degree):
     """Chained Rosenbrock: sum 100 (x_{i+1} - x_i^2)^2 + (1 - x_i)^2."""
     v = x.tolist()
     n = len(v)
@@ -163,18 +173,22 @@ def _rosenbrock(x):
     f = 100.0 * _sum([t * t for t in r]) + _sum([t * t for t in u])
     lead = [-400.0 * a * t - 2.0 * w for a, t, w in zip(head, r, u)] + [0.0]
     g = lead[:1] + [p + 200.0 * t for p, t in zip(lead[1:], r)]
+    if degree == 1:
+        return f, np.array(g), None
     d = [1200.0 * (a * a) - 400.0 * b + 2.0 for a, b in zip(head, tail)] + [0.0]
     diag = d[:1] + [t + 200.0 for t in d[1:]]
     off = [-400.0 * a for a in head]
     return f, np.array(g), _matrix(n, _band(n), diag + off + off)
 
 
-def _cube(x):
+def _cube(x, degree):
     """(x1 - 1)^2 + 100 (x2 - x1^3)^2."""
     x1, x2 = x.tolist()
     r = x2 - _pow(x1, 3)
     f = _pow(x1 - 1.0, 2) + 100.0 * _pow(r, 2)
     g = np.array([2.0 * (x1 - 1.0) - 600.0 * _pow(x1, 2) * r, 200.0 * r])
+    if degree == 1:
+        return f, g, None
     h12 = -600.0 * _pow(x1, 2)
     H = np.array([[2.0 - 1200.0 * x1 * r + 1800.0 * _pow(x1, 4), h12], [h12, 200.0]])
     return f, g, H
@@ -186,7 +200,7 @@ _BEALE_C = (1.5, 2.25, 2.625)
 _BEALE_POWERS = np.array([1.0, 2.0, 3.0, 0.0, 1.0, 2.0, 0.0, 0.0, 1.0])
 
 
-def _beale(x):
+def _beale(x, degree):
     """sum_j (c_j - x1 (1 - x2^j))^2 with c = (1.5, 2.25, 2.625)."""
     x1, x2 = x.tolist()
     pw = (x2**_BEALE_POWERS).tolist()
@@ -194,18 +208,20 @@ def _beale(x):
     r = [c - x1 * (1.0 - p) for c, p in zip(_BEALE_C, pw[0:3])]
     dr1 = [-(1.0 - p) for p in pw[0:3]]
     dr2 = [x1 * k * p for k, p in zip(j, pw[3:6])]
-    d12 = [k * p for k, p in zip(j, pw[3:6])]
-    d22 = [x1 * k * (k - 1.0) * p for k, p in zip(j, pw[6:9])]
     f = _sum([t * t for t in r])
     g = np.array([2.0 * _sum([a * b for a, b in zip(r, dr1)]),
                   2.0 * _sum([a * b for a, b in zip(r, dr2)])])
+    if degree == 1:
+        return f, g, None
+    d12 = [k * p for k, p in zip(j, pw[3:6])]
+    d22 = [x1 * k * (k - 1.0) * p for k, p in zip(j, pw[6:9])]
     h12 = 2.0 * _sum([a * b + t * c for a, b, t, c in zip(dr1, dr2, r, d12)])
     H = np.array([[2.0 * _sum([a * a for a in dr1]), h12],
                   [h12, 2.0 * _sum([a * a + t * c for a, t, c in zip(dr2, r, d22)])]])
     return f, g, H
 
 
-def _powell_singular(x):
+def _powell_singular(x, degree):
     """Groups of 4: (a+10b)^2 + 5(c-d)^2 + (b-2c)^4 + 10(a-d)^4."""
     v = x.tolist()
     n = len(v)
@@ -223,16 +239,18 @@ def _powell_singular(x):
     for p, q, s, w, c3, c4 in zip(t1, t2, t3, t4, cubes[:m], cubes[m:]):
         g += [2.0 * p + 40.0 * c4, 20.0 * p + 4.0 * c3,
               10.0 * q - 8.0 * c3, -10.0 * q - 40.0 * c4]
+        if degree == 1:
+            continue
         q3 = 12.0 * _pow(s, 2)
         q4 = 120.0 * _pow(w, 2)
         blocks += [2.0 + q4, 20.0, 0.0, -q4,
                    20.0, 200.0 + q3, -2.0 * q3, 0.0,
                    0.0, -2.0 * q3, 10.0 + 4.0 * q3, -10.0,
                    -q4, 0.0, -10.0, 10.0 + q4]
-    return f, np.array(g), _matrix(n, _blocks(n), blocks)
+    return f, np.array(g), None if degree == 1 else _matrix(n, _blocks(n), blocks)
 
 
-def _broyden3d(x):
+def _broyden3d(x, degree):
     """Tridiagonal Broyden system residuals, squared and summed."""
     v = x.tolist()
     n = len(v)
@@ -241,6 +259,8 @@ def _broyden3d(x):
     f = _sum([t * t for t in r])
     J = _matrix(n, _band(n), [3.0 - 4.0 * a for a in v] + [-2.0] * (n - 1) + [-1.0] * (n - 1))
     g = 2.0 * (J.T @ np.array(r))
+    if degree == 1:
+        return f, g, None
     H = 2.0 * (J.T @ J)
     H.flat[:: n + 1] += [2.0 * t * (-4.0) for t in r]
     return f, g, H
@@ -260,16 +280,16 @@ _TRIDIA_J = _tridia_jacobian(10)
 _TRIDIA_H = 2.0 * (_TRIDIA_J.T @ _TRIDIA_J)
 
 
-def _tridia(x):
+def _tridia(x, degree):
     """(x1 - 1)^2 + sum_i i (2 x_i - x_{i-1})^2; convex quadratic."""
     r = _TRIDIA_J @ x
     r[0] -= 1.0
     f = float(np.sum(r**2))
     g = 2.0 * (_TRIDIA_J.T @ r)
-    return f, g, _TRIDIA_H.copy()
+    return f, g, None if degree == 1 else _TRIDIA_H.copy()
 
 
-def _arwhead(x):
+def _arwhead(x, degree):
     """sum_{i<n} (x_i^2 + x_n^2)^2 - 4 x_i + 3."""
     v = x.tolist()
     n = len(v)
@@ -278,13 +298,15 @@ def _arwhead(x):
     t = [a * a + z2 for a in head]
     f = _sum([s * s - 4.0 * a + 3.0 for s, a in zip(t, head)])
     g = [4.0 * a * s - 4.0 for a, s in zip(head, t)] + [4.0 * z * _sum(t)]
+    if degree == 1:
+        return f, np.array(g), None
     diag = [4.0 * s + 8.0 * (a * a) for s, a in zip(t, head)]
     diag.append(_sum([4.0 * s + 8.0 * z2 for s in t]))
     cross = [8.0 * a * z for a in head]
     return f, np.array(g), _matrix(n, _arrow(n), diag + cross + cross)
 
 
-def _engval1(x):
+def _engval1(x, degree):
     """sum_{i<n} (x_i^2 + x_{i+1}^2)^2 - 4 x_i + 3."""
     v = x.tolist()
     n = len(v)
@@ -293,6 +315,8 @@ def _engval1(x):
     f = _sum([s * s - 4.0 * a + 3.0 for s, a in zip(t, head)])
     lead = [4.0 * a * s - 4.0 for a, s in zip(head, t)] + [0.0]
     g = lead[:1] + [p + 4.0 * b * s for p, b, s in zip(lead[1:], tail, t)]
+    if degree == 1:
+        return f, np.array(g), None
     d = [4.0 * s + 8.0 * (a * a) for s, a in zip(t, head)] + [0.0]
     diag = d[:1] + [p + (4.0 * s + 8.0 * (b * b)) for p, b, s in zip(d[1:], tail, t)]
     off = [8.0 * a * b for a, b in zip(head, tail)]
@@ -309,7 +333,7 @@ def _dixmaana_index(n: int) -> Array:
                            k * n + k + 2 * m, (k + 2 * m) * n + k))
 
 
-def _dixmaana(x):
+def _dixmaana(x, degree):
     """Dixon-Maany variant A: alpha=1, beta=0, gamma=delta=0.125, flat weights."""
     v = x.tolist()
     n = len(v)
@@ -326,6 +350,8 @@ def _dixmaana(x):
     g[m : 3 * m] = [p + 4.0 * gamma * (a * a) * q for p, a, q in zip(g[m:], lo, p3)]
     g[:m] = [p + delta * b for p, b in zip(g, hi)]
     g[2 * m : 3 * m] = [p + delta * a for p, a in zip(g[2 * m :], v[:m])]
+    if degree == 1:
+        return f, np.array(g), None
     diag = [2.0] * n
     diag[: 2 * m] = [p + 2.0 * gamma * q for p, q in zip(diag, p4)]
     diag[m : 3 * m] = [p + 12.0 * gamma * (a * a) * (b * b)
@@ -345,14 +371,13 @@ def _nondquar_index(n: int) -> Array:
     return np.concatenate((d, d[: n - 2] + 1, d[: n - 2] + n, k * n + n - 1, (n - 1) * n + k))
 
 
-def _nondquar(x):
+def _nondquar(x, degree):
     """(x1-x2)^2 + (x_{n-1}+x_n)^2 + sum (x_i + x_{i+1} + x_n)^4."""
     v = x.tolist()
     n = len(v)
     z = v[-1]
     t = np.array([a + b + z for a, b in zip(v[:-2], v[1:-1])])
     c = [4.0 * p for p in (t**3).tolist()]
-    q = [12.0 * (s * s) for s in t.tolist()]
     e, s = v[0] - v[1], v[-2] + z
     f = _pow(e, 2) + _pow(s, 2) + _sum((t**4).tolist())
     g = [0.0] * n
@@ -363,6 +388,9 @@ def _nondquar(x):
     g[:-2] = [p + a for p, a in zip(g, c)]
     g[1:-1] = [p + a for p, a in zip(g[1:], c)]
     g[-1] += _sum(c)
+    if degree == 1:
+        return f, np.array(g), None
+    q = [12.0 * (s * s) for s in t.tolist()]
     # Term i adds q_i to each entry among rows and columns i, i+1, n-1, so
     # band entry k gets q_{k-1}, then q_k, after the squared terms' +-2.0
     # (which sit apart for n >= 4).  q >= 0, so no sum here is -0.0 and
@@ -378,7 +406,7 @@ def _nondquar(x):
     return f, np.array(g), H
 
 
-def _woods(x):
+def _woods(x, degree):
     """Groups of 4 coupling two Rosenbrock-like valleys."""
     v = x.tolist()
     n = len(v)
@@ -392,16 +420,19 @@ def _woods(x):
                      + 10.0 * (s * s) + 0.1 * (e * e))
         g += [-400.0 * a * r1 - 2.0 * u, 200.0 * r1 + 20.0 * s + 0.2 * e,
               -360.0 * c * r2 - 2.0 * w, 180.0 * r2 + 20.0 * s - 0.2 * e]
+        if degree == 1:
+            continue
         h11 = -400.0 * r1 + 800.0 * _pow(a, 2) + 2.0
         h33 = -360.0 * r2 + 720.0 * _pow(c, 2) + 2.0
         blocks += [h11, -400.0 * a, 0.0, 0.0,
                    -400.0 * a, 220.2, 0.0, 19.8,
                    0.0, 0.0, h33, -360.0 * c,
                    0.0, 19.8, -360.0 * c, 200.2]
-    return _sum(terms), np.array(g), _matrix(n, _blocks(n), blocks)
+    H = None if degree == 1 else _matrix(n, _blocks(n), blocks)
+    return _sum(terms), np.array(g), H
 
 
-def _helix(x):
+def _helix(x, degree):
     """Helical valley: 100 [(x3 - 10 theta)^2 + (r - 1)^2] + x3^2.
 
     theta = arctan(x2/x1)/(2 pi), shifted by +1/2 for x1 < 0, which keeps the
@@ -413,7 +444,7 @@ def _helix(x):
     x1, x2, x3 = (float(v) for v in x)
     r2 = x1 * x1 + x2 * x2
     if r2 * r2 == 0.0:
-        return math.nan, np.full(3, np.nan), np.full((3, 3), np.nan)
+        return math.nan, np.full(3, np.nan), None if degree == 1 else np.full((3, 3), np.nan)
     r = math.sqrt(r2)
     if x1 != 0.0:
         theta = math.atan(x2 / x1) / (2.0 * math.pi)
@@ -434,6 +465,8 @@ def _helix(x):
             200.0 * u + 2.0 * x3,
         ]
     )
+    if degree == 1:
+        return f, g, None
     r4 = r2 * r2
     th11 = 2.0 * x1 * x2 / (twopi * r4)
     th12 = (x2 * x2 - x1 * x1) / (twopi * r4)
@@ -573,9 +606,10 @@ class NoiseSpec:
     function value (when present) only if fvalue.  Each wrapper reads one
     np.random.default_rng(seed) stream: every evaluation takes the next
     consecutive normals of it and spends them in a fixed order: function
-    scalar, gradient entries, Hessian upper triangle.  So the same spec and
-    the same sequence of calls replay bit-identically.  The seed must be a
-    nonnegative integer.
+    scalar, gradient entries, Hessian upper triangle.  A degree-1 evaluation
+    returns no Hessian and so spends n normals, n + 1 with fvalue.  So the
+    same spec and the same sequence of calls, degrees included, replay
+    bit-identically.  The seed must be a nonnegative integer.
     """
 
     level: float
@@ -607,8 +641,10 @@ def _mirror(n: int) -> Array:
 
 class _NoisyEvaluator:
     """Noise for one wrapped oracle, drawn from its own default_rng(spec.seed):
-    each evaluation takes the stream's next consecutive factors 1 + level z,
-    computed _BATCH normals at a time, and spends them in NoiseSpec's order."""
+    each evaluation passes its degree to the inner evaluator, takes the
+    stream's next consecutive factors 1 + level z for what comes back,
+    computed _BATCH normals at a time, and spends them in NoiseSpec's order.
+    peek always reads ahead as for degree 2."""
 
     def __init__(self, inner, spec: NoiseSpec):
         self.inner = inner
@@ -627,8 +663,8 @@ class _NoisyEvaluator:
         self._used = i + size
         return self._factors[i : i + size]
 
-    def __call__(self, x: Array) -> DerivativeBundle:
-        bundle = self.inner(x)
+    def __call__(self, x: Array, degree: int) -> DerivativeBundle:
+        bundle = self.inner(x, degree)
         f, g, H = bundle.fvalue, bundle.gradient, bundle.hessian
         noise_f = self.spec.fvalue and f is not None
         n = g.size
@@ -649,7 +685,7 @@ class _NoisyEvaluator:
         """The noisy f of the next m evaluations at x, their factors unspent;
         None unless f is noised, H present, and a bound 1e8 below DBL_MAX shows
         each evaluation's f, gradient norm and Hessian finite, however they round."""
-        bundle = self.inner(x)
+        bundle = self.inner(x, 2)
         f, g, H = bundle.fvalue, bundle.gradient, bundle.hessian
         if not self.spec.fvalue or f is None or H is None:
             return None

@@ -9,7 +9,9 @@ bound and the mu estimates, nu0 user supplied) and a practical mode
 (sigma_k = max(vartheta nu_k, mu1_k, sigma_{k-1}/2), so sigma falls by at
 most a factor of 2 per iteration; nu0 from practical_nu0).  Both clamp
 sigma_k into [vartheta nu_k, max(nu_k, mu_k)], where the complexity bounds
-hold.  The same rule runs on clean and noisy oracles.
+hold.  The same rule runs on clean and noisy oracles.  A driver of degree p
+asks the oracle for derivatives up to degree p, so offar1 reads gradients
+only.
 
 run_ar2 is the classical function-value-based adaptive regularization
 baseline, sharing the same exact subproblem solver; it is the only driver
@@ -239,7 +241,7 @@ def _run_offo(problem, config: OffoConfig, *, second_order: bool) -> RunOutcome:
         raise ValueError("strict mode requires an explicit nu0")
 
     x = np.array(problem.x0, dtype=float)
-    bundle = problem.evaluate(x)
+    bundle = problem.evaluate(x, p)
     if p == 2 and bundle.hessian is None:
         raise ValueError(f"{algorithm} needs Hessians")
     gnorm = bundle.finite_grad_norm()
@@ -289,7 +291,7 @@ def _run_offo(problem, config: OffoConfig, *, second_order: bool) -> RunOutcome:
         prev_step_norm = snorm
         k += 1
 
-        bundle = problem.evaluate(x)
+        bundle = problem.evaluate(x, p)
         gnorm = bundle.finite_grad_norm()
         if not gnorm < math.inf:
             return _finish(trace, RunStatus.ORACLE_OVERFLOW, x, math.nan, k, nu=state.nu)

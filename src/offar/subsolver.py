@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import RegularizedModel, _symmetric, all_finite, model_terms, vnorm
+from .model import RegularizedModel, _as_vector, _symmetric, all_finite, vnorm
 
 Array = np.ndarray
 
@@ -52,11 +52,13 @@ def solve_p1(g, sigma: float) -> StepResult:
     g = np.asarray(g, dtype=float)
     if g.ndim == 0:
         g = g.reshape(1)
-    if not all_finite(g):
+    # A non-finite entry makes the norm inf or NaN; finite entries can
+    # overflow it too, so only then are the entries scanned.
+    gnorm = vnorm(g)
+    if not (gnorm < math.inf or all_finite(g)):
         raise ValueError("gradient must be finite")
     if not (sigma > 0.0) or not math.isfinite(sigma):
         raise ValueError(f"sigma must be positive and finite, got {sigma}")
-    gnorm = vnorm(g)
     if gnorm == 0.0:
         raise ValueError("zero gradient: the caller should have stopped")
     s = -g / sigma
@@ -87,9 +89,9 @@ def _secular_root(w: Array, ghat2: Array, sigma: float, lam_low: float) -> float
     point.  The start is the largest positive root of lam (lam + w_i) =
     sigma |ghat_i| / 2, a lower bound because ||s(lam)|| >= |ghat_i| / (w_i +
     lam), moved one ulp above lam_low where ||s|| has its pole.  Returns inf
-    when ||s|| overflows.  The loop runs on plain floats: the caller invokes
-    this many thousands of times on small problems and numpy call overhead
-    dominates otherwise.
+    when ||s|| or the start overflows.  The loop runs on plain floats: the
+    caller invokes this many thousands of times on small problems and numpy
+    call overhead dominates otherwise.
     """
     pairs = list(zip(w.tolist(), ghat2.tolist()))
     lam = lam_low
@@ -104,6 +106,8 @@ def _secular_root(w: Array, ghat2: Array, sigma: float, lam_low: float) -> float
             lam = root
     if lam == lam_low:
         lam = math.nextafter(lam, math.inf)
+    if lam == math.inf:  # h * h overflowed: the spread of w exceeds float64
+        return lam
     while True:
         r2 = rp = 0.0
         for wi, gi in pairs:
@@ -136,7 +140,8 @@ def solve_p2(g, H, sigma: float, *, eig=None) -> StepResult:
     H = np.asarray(H, dtype=float)
     if H.shape != (g.size, g.size):
         raise ValueError(f"hessian shape {H.shape} does not match gradient size {g.size}")
-    if not (all_finite(g) and all_finite(H)):
+    gnorm = vnorm(g)  # as in solve_p1
+    if not ((gnorm < math.inf or all_finite(g)) and all_finite(H)):
         raise ValueError("derivatives must be finite")
     if not (sigma > 0.0) or not math.isfinite(sigma):
         raise ValueError(f"sigma must be positive and finite, got {sigma}")
@@ -147,9 +152,7 @@ def solve_p2(g, H, sigma: float, *, eig=None) -> StepResult:
     w, Q = eig
     lam1 = float(w[0])
     ghat = Q.T @ g
-    gnorm = vnorm(g)
     lam_low = max(0.0, -lam1)
-    leftmost = w - lam1 <= 1e-12 * max(1.0, abs(lam1))
 
     hard = False
     if gnorm == 0.0:
@@ -159,7 +162,8 @@ def solve_p2(g, H, sigma: float, *, eig=None) -> StepResult:
         snorm = 2.0 * lam / sigma
         s = snorm * _oriented(Q[:, 0].copy())
         hard = True
-    elif lam1 < 0.0 and vnorm(ghat[leftmost]) <= _HARD_CASE_RTOL * gnorm:
+    elif lam1 < 0.0 and (vnorm(ghat[leftmost := w - lam1 <= 1e-12 * max(1.0, abs(lam1))])
+                         <= _HARD_CASE_RTOL * gnorm):
         # Gradient numerically orthogonal to the leftmost eigenspace.
         mask = ~leftmost
         lam = lam_low
@@ -182,7 +186,8 @@ def solve_p2(g, H, sigma: float, *, eig=None) -> StepResult:
     if not math.isfinite(lam):
         raise OverflowError(
             f"secular root is not finite (||g|| = {gnorm!r}, sigma = {sigma!r}): "
-            "the squared gradient or 2 lam/sigma overflowed float64")
+            "the squared gradient, 2 lam/sigma or the spread of H's eigenvalues "
+            "overflowed float64")
 
     Hss = H @ s
     tgrad = g + Hss
@@ -209,19 +214,28 @@ def certify(
     """Check the step conditions the outer iteration requires.
 
     All quantities are recomputed from the model, so this is an independent
-    predicate on (step, model), not a readback of StepResult fields.  The
+    predicate on (step, model), not a readback of StepResult fields.  They
+    are model_terms' m(s) - m(0) and ||grad T(x,s)||, bit for bit, from one
+    ||s||, at degree 2 one product H s, and at degree 1 no copy of g.  The
     inequalities get relative slack _CERTIFY_RTOL.
     """
-    s = step.step
+    g = model.bundle.gradient
+    s = _as_vector(step.step)
+    if s.size != g.size:
+        raise ValueError(f"step size {s.size} does not match dimension {g.size}")
     p = model.degree
     sigma = model.sigma
-    _, value, tgrad = model_terms(model, s)
-    if not value < 0.0:
+    val = float(g @ s)
+    if p == 2:
+        Hs = model.bundle.hessian @ s
+        val += 0.5 * float(s @ Hs)
+    snorm = vnorm(s)
+    if not val + sigma / math.factorial(p + 1) * snorm ** (p + 1) < 0.0:
         return False
 
-    snorm = vnorm(s)
     bound = theta1 * sigma / math.factorial(p) * snorm**p
-    if vnorm(tgrad) > bound + _CERTIFY_RTOL * max(1.0, bound):
+    tgrad_norm = vnorm(g + Hs) if p == 2 else vnorm(g)
+    if tgrad_norm > bound + _CERTIFY_RTOL * max(1.0, bound):
         return False
 
     if theta2 is not None and p == 2:

@@ -159,7 +159,7 @@ class _ScriptedEvaluator:
         self.bundles = bundles
         self.count = 0
 
-    def __call__(self, x: Array) -> DerivativeBundle:
+    def __call__(self, x: Array, degree: int) -> DerivativeBundle:
         idx = min(self.count, len(self.bundles) - 1)
         self.count += 1
         return self.bundles[idx]

@@ -38,8 +38,8 @@ def recording(oracle):
     points = []
     evaluate = oracle.evaluator
 
-    def evaluator(x):
-        bundle = evaluate(x)
+    def evaluator(x, degree):
+        bundle = evaluate(x, degree)
         points.append((x.copy(), bundle))
         return bundle
 

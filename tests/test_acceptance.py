@@ -178,7 +178,7 @@ def test_09_profile_scores():
 
 def test_10_second_order_escape():
     with criterion(10, "curvature-aware driver escapes the double well"):
-        def ev(x):
+        def ev(x, degree):
             f = x[0] ** 4 / 4.0 - x[0] ** 2 / 2.0 + x[1] ** 2
             g = np.array([x[0] ** 3 - x[0], 2.0 * x[1]])
             H = np.array([[3.0 * x[0] ** 2 - 1.0, 0.0], [0.0, 2.0]])

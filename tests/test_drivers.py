@@ -18,14 +18,14 @@ def quadratic_oracle(A, b, x0, name="quad"):
     A = np.asarray(A, dtype=float)
     b = np.asarray(b, dtype=float)
 
-    def ev(x):
+    def ev(x, degree):
         return DerivativeBundle(A @ x - b, A, 0.5 * x @ A @ x - b @ x)
 
     return ProblemOracle(name, b.size, np.asarray(x0, dtype=float), ev, ProblemMeta())
 
 
 def double_well_oracle(x0):
-    def ev(x):
+    def ev(x, degree):
         f = x[0] ** 4 / 4.0 - x[0] ** 2 / 2.0 + x[1] ** 2
         g = np.array([x[0] ** 3 - x[0], 2.0 * x[1]])
         H = np.array([[3.0 * x[0] ** 2 - 1.0, 0.0], [0.0, 2.0]])
@@ -78,7 +78,7 @@ class TestOffarConvergence:
 
     @pytest.mark.parametrize("algorithm", ["offar2a", "moffar2"])
     def test_degree2_needs_hessians(self, algorithm):
-        po = ProblemOracle("nohess", 2, np.ones(2), lambda x: DerivativeBundle(x.copy()),
+        po = ProblemOracle("nohess", 2, np.ones(2), lambda x, degree: DerivativeBundle(x.copy()),
                            ProblemMeta())
         with pytest.raises(ValueError, match="needs Hessians"):
             run_single(po, algorithm, eps1=1e-6)
@@ -148,7 +148,7 @@ class TestOverflow:
     def oracle_exploding(self, explode_at):
         calls = {"n": 0}
 
-        def ev(x):
+        def ev(x, degree):
             calls["n"] += 1
             if calls["n"] > explode_at:
                 return DerivativeBundle(np.array([np.inf, 1.0]), np.eye(2), np.inf)
@@ -182,17 +182,17 @@ class TestOverflow:
         # Finite entries whose norm overflows from evaluation explode_at on.
         calls = itertools.count()
 
-        def ev(x):
+        def ev(x, degree):
             g = [1e200, 1e200] if next(calls) >= explode_at else [1.0, 0.5]
             return DerivativeBundle(np.array(g), np.eye(2), 0.0)
 
         return ProblemOracle("huge", 2, np.zeros(2), ev, ProblemMeta())
 
-    @pytest.mark.parametrize("algorithm", ["offar2a", "offar2b", "moffar2", "ar2"])
+    @pytest.mark.parametrize("algorithm", ["offar1", "offar2a", "offar2b", "moffar2", "ar2"])
     @pytest.mark.parametrize("explode_at", [0, 1])
     def test_gradient_norm_overflow(self, algorithm, explode_at):
-        # At the start, after one step (offar2a, offar2b, moffar2) or on the
-        # trial point (ar2).
+        # At the start, after one step (offar1, offar2a, offar2b, moffar2) or
+        # on the trial point (ar2).
         out = run_single(self.oracle_huge(explode_at), algorithm, eps1=1e-6)
         assert out.status == RunStatus.ORACLE_OVERFLOW
         assert out.iterations == explode_at
@@ -208,8 +208,29 @@ class TestOverflow:
         assert out.iterations == 1
         assert len(out.trace) == out.iterations + 1
 
+    @pytest.mark.parametrize("algorithm", ["offar1", "offar2a"])
+    def test_hessian_overflow(self, algorithm):
+        # A finite gradient and a Hessian that overflows, which the evaluator
+        # returns only when asked for degree 2, as the suite formulas do:
+        # offar1 asks for degree 1 only and never sees it.
+        degrees = []
+
+        def ev(x, degree):
+            degrees.append(degree)
+            H = np.full((2, 2), np.inf) if degree == 2 else None
+            return DerivativeBundle(x - 1.0, H, 0.0)
+
+        po = ProblemOracle("hessian-overflow", 2, np.zeros(2), ev, ProblemMeta())
+        out = run_single(po, algorithm, eps1=1e-6)
+        if algorithm == "offar1":
+            assert out.status == RunStatus.FIRST_ORDER
+            assert out.iterations > 0 and set(degrees) == {1}
+        else:
+            assert out.status == RunStatus.ORACLE_OVERFLOW
+            assert out.iterations == 0 and degrees == [2]
+
     def test_nonfinite_fvalue_alone_is_not_overflow(self):
-        def ev(x):
+        def ev(x, degree):
             f = math.inf if np.linalg.norm(x) > 0.5 else 1.0
             return DerivativeBundle(x.copy(), np.eye(2), f)
 
@@ -314,7 +335,7 @@ class TestAr2:
     def test_rejection_cap(self):
         # oracle whose function value always climbs: every step is rejected,
         # sigma doubles until the 1e20 ceiling
-        def ev(x):
+        def ev(x, degree):
             f = 1.0 if np.all(x == 0.0) else 2.0
             return DerivativeBundle(np.array([1.0, 0.0]), np.eye(2), f)
 
@@ -327,7 +348,7 @@ class TestAr2:
         assert out.trace.column("sigma")[-1] == pytest.approx(1e20)
 
     def test_overflow_on_trial(self):
-        def ev(x):
+        def ev(x, degree):
             f = 1.0 if np.all(x == 0.0) else math.inf
             return DerivativeBundle(np.array([1.0, 0.0]), np.eye(2), f)
 
@@ -340,7 +361,7 @@ class TestAr2:
         assert math.isnan(out.trace.column("accepted")[0])
 
     def test_needs_function_values(self):
-        def ev(x):
+        def ev(x, degree):
             return DerivativeBundle(x.copy(), np.eye(2))
 
         po = ProblemOracle("nofv", 2, np.ones(2), ev, ProblemMeta())
@@ -367,7 +388,7 @@ class TestAr2Screen:
         noisy = add_noise(oracle, spec)
         if shim:
             wrapper = noisy.evaluator
-            noisy.evaluator = lambda x: wrapper(x)
+            noisy.evaluator = lambda x, degree: wrapper(x, degree)
         skipped, skip = [], noisy.skip
         noisy.skip = lambda j: (skipped.append(j), skip(j))
         screened = run_ar2(noisy, config)
@@ -383,7 +404,7 @@ class TestAr2Screen:
     def climber(f_trial, g_trial):
         """f climbs from 1 at the start to f_trial everywhere else, so ar2
         rejects every step and sigma stays at its cap once there."""
-        def ev(x):
+        def ev(x, degree):
             if not x.any():
                 return DerivativeBundle(np.array([1.0, 0.0]), np.eye(2), 1.0)
             return DerivativeBundle(np.array(g_trial), np.eye(2), f_trial)

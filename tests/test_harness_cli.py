@@ -16,7 +16,7 @@ from offar.trace import RunTrace
 
 
 def identity_quadratic():
-    def ev(x):
+    def ev(x, degree):
         return DerivativeBundle(x.copy(), np.eye(x.size), 0.5 * float(x @ x))
 
     return ProblemOracle("idquad", 2, np.ones(2), ev, ProblemMeta(f_low=0.0))

@@ -13,7 +13,7 @@ file with
 Like the trace fingerprints, the file records the Python, numpy, BLAS and
 SIMD extensions it was made with (vectorized pow and the BLAS products vary
 by build and CPU), and the bitwise test skips on any other.  The shape test
-runs everywhere.
+and the degree-1 test, which compares a formula with itself, run everywhere.
 """
 
 import hashlib
@@ -66,7 +66,7 @@ def digest(f, g, H):
 
 def digests(name):
     with np.errstate(all="ignore"):  # the far points overflow on purpose
-        return [digest(*FORMULAS[name](x)) for x in guarded_points(name)]
+        return [digest(*FORMULAS[name](x, 2)) for x in guarded_points(name)]
 
 
 def _recorded():
@@ -98,7 +98,7 @@ def test_formula_shapes(name):
     n = problem.n
     for x in [problem.x0.copy()] + box_points(name, 20):
         before = x.tobytes()
-        f, g, H = FORMULAS[name](x)
+        f, g, H = FORMULAS[name](x, 2)
         assert x.tobytes() == before
         assert type(f) is float
         assert type(g) is np.ndarray and g.dtype == np.float64 and g.shape == (n,)
@@ -106,6 +106,19 @@ def test_formula_shapes(name):
         assert type(H) is np.ndarray and H.dtype == np.float64 and H.shape == (n, n)
         bits = H.view(np.int64)
         assert np.array_equal(bits, bits.T)
+
+
+@pytest.mark.parametrize("name", SUITE_NAMES)
+def test_degree_one_values(name):
+    """Asked for degree 1, a formula returns the f and g of degree 2 bit for
+    bit, at every guarded point, and None for H."""
+    with np.errstate(all="ignore"):  # as in digests
+        for k, x in enumerate(guarded_points(name)):
+            f1, g1, H1 = FORMULAS[name](x, 1)
+            f2, g2, _ = FORMULAS[name](x, 2)
+            assert H1 is None, k
+            assert np.float64(f1).tobytes() == np.float64(f2).tobytes(), k
+            assert type(g1) is np.ndarray and g1.tobytes() == g2.tobytes(), k
 
 
 if __name__ == "__main__":

@@ -84,7 +84,7 @@ class TestDerivatives:
         assert report.max_hess_err <= 1e-4
 
     def test_negative_control_bad_gradient(self):
-        def ev(x):
+        def ev(x, degree):
             return DerivativeBundle(2.0 * x + 0.05, np.eye(2), float(x @ x))
 
         p = ProblemOracle("badgrad", 2, np.zeros(2), ev, ProblemMeta())
@@ -96,7 +96,7 @@ class TestDerivatives:
         # A NaN entry compares False against the tolerance, yet is an error.
         for name, hess in (("badhess", 1.9 * np.eye(2)),
                            ("nanhess", np.array([[2.0, 0.0], [0.0, np.nan]]))):
-            def ev(x, hess=hess):
+            def ev(x, degree, hess=hess):
                 return DerivativeBundle(2.0 * x, hess, float(x @ x))
 
             p = ProblemOracle(name, 2, np.zeros(2), ev, ProblemMeta())
@@ -120,7 +120,7 @@ class TestDerivatives:
                                    [0.0, 0.0, 2.0], [-0.0, 5e-324, 0.0]])
     def test_helix_where_r4_underflows(self, x):
         # x1^2 + x2^2 is 0 or its square underflows to 0: NaN, not ZeroDivisionError.
-        f, g, H = _helix(np.array(x))
+        f, g, H = _helix(np.array(x), 2)
         assert math.isnan(f) and np.isnan(g).all() and np.isnan(H).all()
         helix = get_problem("helix")
         start = ProblemOracle("helix", 3, np.array(x), helix.evaluator, helix.meta)
@@ -128,7 +128,7 @@ class TestDerivatives:
 
     def test_helix_finite_where_r4_is_subnormal(self):
         # r^4 ~ 1e-312 is subnormal but not 0: the formula still returns values.
-        f, g, H = _helix(np.array([-1e-78, 0.0, 0.5]))
+        f, g, H = _helix(np.array([-1e-78, 0.0, 0.5]), 2)
         assert math.isfinite(f)
         assert not np.isnan(g).any() and not np.isnan(H).any()
 
@@ -208,7 +208,7 @@ class TestNoise:
         # default_rng(seed).  100 evaluations cross two refills.
         n = 12
         ones = ProblemOracle("ones", n, np.zeros(n),
-                             lambda x: DerivativeBundle(np.ones(n), np.ones((n, n)), 1.0))
+                             lambda x, degree: DerivativeBundle(np.ones(n), np.ones((n, n)), 1.0))
         spec = NoiseSpec(level=0.3, seed=5, fvalue=False)
         noisy, ref = add_noise(ones, spec), np.random.default_rng(spec.seed)
         size = n + n * (n + 1) // 2
@@ -292,7 +292,7 @@ class TestNoise:
                               -0.0, 0.0, np.nan], 1.0)
         g = np.array([-0.0, 0.0, np.nan, HALF_MAX, 1.0, -1.0] * 2)
         ref = DerivativeBundle(g, symmetric(n, triangle), -0.0)
-        noisy = add_noise(ProblemOracle("edges", n, np.zeros(n), lambda x: ref), spec)
+        noisy = add_noise(ProblemOracle("edges", n, np.zeros(n), lambda x, degree: ref), spec)
         with np.errstate(over="ignore"):
             new = noisy.evaluate(np.zeros(n))
             old = self.three_term_noise(ref, spec, np.random.default_rng(spec.seed))
@@ -335,6 +335,26 @@ class TestNoiseStreams:
         H = [] if bundle.hessian is None else bundle.hessian[np.triu_indices(bundle.n)]
         return np.concatenate((f, bundle.gradient, H))
 
+    @pytest.mark.parametrize("fvalue", [False, True])
+    def test_degree_one_spends_gradient_normals(self, fvalue):
+        # Asked for degree 1, the inner evaluator returns no Hessian, and the
+        # wrapper spends n normals on the gradient, n + 1 with the function
+        # value; degree-2 evaluations in between spend their full size.
+        n = 12
+
+        def ones(x, degree):
+            return DerivativeBundle(np.ones(n), np.ones((n, n)) if degree == 2 else None, 1.0)
+
+        spec = NoiseSpec(level=0.1, seed=5, fvalue=fvalue)
+        noisy = add_noise(ProblemOracle("ones", n, np.zeros(n), ones), spec)
+        ref = np.random.default_rng(spec.seed)
+        for degree in (1, 2, 1, 1, 2, 1):
+            bundle = noisy.evaluate(noisy.x0, degree)
+            assert (bundle.hessian is None) == (degree == 1)
+            ours = self.factors(bundle)[0 if fvalue else 1:]  # an un-noised f is 1.0
+            assert ours.size == fvalue + n + (degree == 2) * n * (n + 1) // 2
+            assert ours.tobytes() == (1.0 + 0.1 * ref.standard_normal(ours.size)).tobytes()
+
     @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, np.int64(7), 2**64 + 3])
     def test_draws_match_default_rng(self, seed):
         # fvalue alternates between a float and None, and every third
@@ -343,7 +363,7 @@ class TestNoiseStreams:
         # wrapper's batched factors.
         n, calls = 12, []
 
-        def ones(x):
+        def ones(x, degree):
             calls.append(1)
             return DerivativeBundle(np.ones(n), np.ones((n, n)) if len(calls) % 3 else None,
                                     1.0 if len(calls) % 2 else None)
@@ -374,7 +394,7 @@ class TestNoiseStreams:
         n = clean.n
         source = clean.evaluator
         spec = NoiseSpec(level=0.5, seed=3)
-        problem = add_noise(ProblemOracle("woods", n, clean.x0, lambda x: source(x)), spec)
+        problem = add_noise(ProblemOracle("woods", n, clean.x0, lambda x, degree: source(x, degree)), spec)
         out = run_ar2(problem, Ar2Config(eps1=1e-3, max_iter=1000))
         assert out.iterations == 1000
         at_cap = out.trace.column("sigma")[:-1] == 1e20
@@ -385,7 +405,7 @@ class TestNoiseStreams:
         expected = 1.0 + spec.level * ref.standard_normal(size)
 
         # The oracle now answers with ones, which come back as their factors.
-        def source(x):
+        def source(x, degree):
             return DerivativeBundle(np.ones(n), np.ones((n, n)), 1.0)
 
         ours = self.factors(problem.evaluate(clean.x0))
@@ -400,8 +420,8 @@ class TestBundleBuild:
         H = symmetric(n, [2.0**1023, -(2.0**1023), HALF_MAX, -HALF_MAX, -0.0,
                           0.0, np.nan, 5e-324, math.inf, 1.0])
         g = np.array([-0.0, np.nan, HALF_MAX, 1.0])
-        ev = _bundle(lambda x: (-0.0, g.copy(), H.copy()))
-        new, old = ev(np.zeros(n)), DerivativeBundle(g, H, -0.0)
+        ev = _bundle(lambda x, degree: (-0.0, g.copy(), H.copy()))
+        new, old = ev(np.zeros(n), 2), DerivativeBundle(g, H, -0.0)
         assert same_bytes(new, old)
         assert new.hessian.tobytes() == H.tobytes()
         assert new.hessian[0, 0] == 2.0**1023 and new.hessian[0, 1] == -(2.0**1023)
@@ -412,8 +432,8 @@ class TestBundleBuild:
         # the constructor, in _bundle and in solve_p2 without eig.
         H = np.array([[big, -big], [-big, 1.0]])
         g = np.array([1.0, -0.0])
-        ev = _bundle(lambda x: (0.0, g.copy(), H.copy()))
-        for bundle in (DerivativeBundle(g, H, 0.0), ev(np.zeros(2))):
+        ev = _bundle(lambda x, degree: (0.0, g.copy(), H.copy()))
+        for bundle in (DerivativeBundle(g, H, 0.0), ev(np.zeros(2), 2)):
             assert bundle.hessian.tobytes() == H.tobytes()
         lopsided = np.array([[big, -big], [-HALF_MAX, 1.0]])
         half = np.float64(-big) / 2 + -HALF_MAX / 2

@@ -17,10 +17,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from offar import (DerivativeBundle, RegularizedModel, StepResult, certify,
-                   model_terms, solve_p1, solve_p2)
+from offar import (SUITE_NAMES, DerivativeBundle, RegularizedModel, StepResult, certify,
+                   get_problem, model_terms, solve_p1, solve_p2)
 from offar.model import vnorm
-from offar.subsolver import _HARD_CASE_RTOL, _secular_root
+from offar.subsolver import _CERTIFY_RTOL, _HARD_CASE_RTOL, _secular_root
 
 
 @functools.lru_cache(maxsize=1)
@@ -190,6 +190,13 @@ class TestSolveP2Examples:
         # lam = inf, which would give a zero step.
         with np.errstate(over="ignore"), pytest.raises(OverflowError, match="not finite"):
             solve_p2(np.array([1e160, 1e160]), np.eye(2), 1.0)
+
+    def test_overflowing_eigenvalue_spread_raises(self):
+        # A finite H whose eigenvalues lie more than DBL_MAX apart: the secular
+        # root's start squares half an eigenvalue, which overflows to inf.
+        H = np.array([[2.0**1023, 2.0**1023], [2.0**1023, -1.0]])
+        with np.errstate(over="ignore"), pytest.raises(OverflowError, match="not finite"):
+            solve_p2(np.array([1.0, 1.0]), H, 1e300)
 
 
 class TestSolveP2Properties:
@@ -476,3 +483,46 @@ class TestCertify:
         lied = StepResult(step=r.step, multiplier=r.multiplier,
                           taylor_grad_norm=1e6, model_reduction=r.model_reduction)
         assert certify(lied, m, theta1)
+
+    @staticmethod
+    def reference(step, model, theta1, theta2):
+        """The step conditions written out from model_terms, as certify's
+        docstring states them."""
+        p, sigma, s = model.degree, model.sigma, step.step
+        _, value, tgrad = model_terms(model, s)
+        if not value < 0.0:
+            return False
+        snorm = float(np.linalg.norm(s))
+        bound = theta1 * sigma / math.factorial(p) * snorm**p
+        if float(np.linalg.norm(tgrad)) > bound + _CERTIFY_RTOL * max(1.0, bound):
+            return False
+        if theta2 is not None and p == 2:
+            cbound = theta2 * sigma * snorm
+            min_eig = float(np.linalg.eigvalsh(model.bundle.hessian)[0])
+            return not min_eig < -cbound - _CERTIFY_RTOL * max(1.0, cbound)
+        return True
+
+    def test_suite_decisions_match_reference(self):
+        # Exact steps at each suite start, scaled so that some fail the
+        # descent or the Taylor-gradient condition, at p = 1 and p = 2, and
+        # at p = 2 with the curvature condition: at the drivers' theta2 = 2,
+        # and at 0.1, where it rejects steps on beale, dixmaana and helix.
+        cases = ((1, None), (2, None), (2, 2.0), (2, 0.1))
+        decisions = {case: [] for case in cases}
+        for name in SUITE_NAMES:
+            bundle = get_problem(name).evaluate(get_problem(name).x0)
+            for sigma in (1e-2, 1.0, 1e3):
+                exact = {1: solve_p1(bundle.gradient, sigma).step,
+                         2: solve_p2(bundle.gradient, bundle.hessian, sigma).step}
+                for p, theta2 in cases:
+                    model = RegularizedModel(bundle, sigma, p)
+                    for scale in (0.0, 0.5, 1.0, 1.5, -1.0):
+                        step = StepResult(scale * exact[p], math.nan, math.nan, math.nan)
+                        got = certify(step, model, 2.0, theta2)
+                        assert got == self.reference(step, model, 2.0, theta2), (
+                            name, sigma, p, theta2, scale)
+                        decisions[p, theta2].append(got)
+        for case, got in decisions.items():
+            assert len(got) == 12 * 3 * 5 and 0 < sum(got) < len(got), case
+        plain, curved = decisions[2, None], decisions[2, 0.1]
+        assert any(a and not b for a, b in zip(plain, curved))
