@@ -18,6 +18,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.linalg import LinAlgError, _umath_linalg
 
 Array = np.ndarray
 
@@ -40,6 +41,17 @@ def all_finite(a: Array) -> bool:
     entry is NaN exactly when the entry is inf or NaN, and np.vdot, unlike
     np.dot, raises no floating-point warning for the inf * 0 it meets."""
     return np.vdot(a, _zeros(a.size)) == 0.0
+
+
+def eigh(h: Array) -> tuple[Array, Array]:
+    """np.linalg.eigh(h) for a finite float64 symmetric matrix, bit for bit,
+    minus its dispatch: the LAPACK gufunc it calls.  LAPACK's failure to
+    converge (NaN eigenvalues, after numpy's invalid-value warning) raises
+    LinAlgError, as there."""
+    w, v = _umath_linalg.eigh_lo(h, signature="d->dd")
+    if math.isnan(w[0]):
+        raise LinAlgError("Eigenvalues did not converge")
+    return w, v
 
 
 def _symmetric(h: Array) -> Array:

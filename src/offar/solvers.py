@@ -27,7 +27,7 @@ from enum import Enum
 
 import numpy as np
 
-from .model import DerivativeBundle, RegularizedModel, model_terms, vnorm
+from .model import DerivativeBundle, RegularizedModel, eigh, model_terms, vnorm
 from .subsolver import certify, solve_p1, solve_p2
 from .trace import RunTrace
 
@@ -195,8 +195,8 @@ def sigma_select(state: SolverState, config: OffoConfig) -> float:
 
 
 def _factorize(bundle: DerivativeBundle) -> tuple:
-    """np.linalg.eigh of the Hessian, and its smallest eigenvalue."""
-    eig = np.linalg.eigh(bundle.hessian)
+    """eigh of the Hessian, and its smallest eigenvalue."""
+    eig = eigh(bundle.hessian)
     return eig, float(eig[0][0])
 
 
@@ -254,7 +254,7 @@ def _run_offo(problem, config: OffoConfig, *, second_order: bool) -> RunOutcome:
 
     k = 0
     while True:
-        # One factorization per point feeds the stop test, mu2, the step and the trace.
+        # One factorization per point feeds the stop test, mu2, the step, certify, the trace.
         eig, min_eig = _factorize(bundle) if p == 2 else (None, None)
         stop = gnorm <= config.eps1 and (not second_order or min_eig >= -config.eps2)
         if stop or k >= config.max_iter:
@@ -274,7 +274,7 @@ def _run_offo(problem, config: OffoConfig, *, second_order: bool) -> RunOutcome:
             step = solve_p1(bundle.gradient, sigma)
         else:
             step = solve_p2(bundle.gradient, bundle.hessian, sigma, eig=eig)
-        if not certify(step, model, _THETA1, _THETA2 if second_order else None):
+        if not certify(step, model, _THETA1, _THETA2 if second_order else None, min_eig):
             raise CertificateError(
                 f"step conditions failed at iteration {k} (sigma={sigma!r})")
 
@@ -343,9 +343,10 @@ def run_ar2(problem, config: Ar2Config) -> RunOutcome:
             rho = (bundle.fvalue - ahead) / decrease
             taken = np.flatnonzero(rho >= _ETA1)
             j = int(taken[0]) if taken.size else m
-            for r in rho[:j].tolist():
-                trace.append(k=k, rho=r, accepted=0.0, **row)
-                k += 1
+            if j:
+                trace.append(k=k, rho=rho[0], accepted=0.0, **row)
+                trace.repeat_last(rho[1:j].tolist())
+                k += j
             problem.skip(j)
             if j == m:
                 continue

@@ -13,8 +13,9 @@ adds a leftmost eigenvector component whose sign is made deterministic by
 orienting the eigenvector.
 
 Problem dimensions are desk scale (n <= a few dozen), so the dense route is
-both exact and cheap.  A driver that already holds np.linalg.eigh(H) passes
-it as ``eig``, so each Hessian is factorized once per point.
+both exact and cheap.  The drivers factorize each Hessian once per point with
+model.eigh and pass it to solve_p2 as ``eig`` and, in moffar2, its smallest
+eigenvalue to certify as ``min_eig``.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import RegularizedModel, _as_vector, _symmetric, all_finite, vnorm
+from .model import RegularizedModel, _as_vector, _symmetric, all_finite, eigh, vnorm
 
 Array = np.ndarray
 
@@ -130,25 +131,29 @@ def solve_p2(g, H, sigma: float, *, eig=None) -> StepResult:
     """Global minimizer of g.s + 0.5 s.H.s + sigma/6 ||s||^3.
 
     The multiplier is the root of the secular equation to within a few ulps;
-    OverflowError when ||s|| overflows float64 there.  Without ``eig`` H is
-    symmetrized and factorized here; ``eig = np.linalg.eigh(H)`` of an exactly
-    symmetric H (a DerivativeBundle's) skips both, bit for bit the same.
+    OverflowError when ||s|| or the spread of H's eigenvalues overflows
+    float64.  Without ``eig`` H is checked, symmetrized and factorized here;
+    ``eig = eigh(H)`` skips all three, bit for bit the same, for an H the
+    caller vouches is finite, exactly symmetric and of g's size (a
+    DerivativeBundle's Hessian that finite_grad_norm has passed).
     """
     g = np.asarray(g, dtype=float)
     if g.ndim == 0:
         g = g.reshape(1)
-    H = np.asarray(H, dtype=float)
-    if H.shape != (g.size, g.size):
-        raise ValueError(f"hessian shape {H.shape} does not match gradient size {g.size}")
     gnorm = vnorm(g)  # as in solve_p1
-    if not ((gnorm < math.inf or all_finite(g)) and all_finite(H)):
+    if not (gnorm < math.inf or all_finite(g)):
         raise ValueError("derivatives must be finite")
     if not (sigma > 0.0) or not math.isfinite(sigma):
         raise ValueError(f"sigma must be positive and finite, got {sigma}")
 
     if eig is None:
+        H = np.asarray(H, dtype=float)
+        if H.shape != (g.size, g.size):
+            raise ValueError(f"hessian shape {H.shape} does not match gradient size {g.size}")
+        if not all_finite(H):
+            raise ValueError("derivatives must be finite")
         H = _symmetric(H)
-        eig = np.linalg.eigh(H)
+        eig = eigh(H)
     w, Q = eig
     lam1 = float(w[0])
     ghat = Q.T @ g
@@ -162,6 +167,8 @@ def solve_p2(g, H, sigma: float, *, eig=None) -> StepResult:
         snorm = 2.0 * lam / sigma
         s = snorm * _oriented(Q[:, 0].copy())
         hard = True
+    elif lam1 < 0.0 and float(w[-1]) - lam1 == math.inf:
+        lam = math.inf  # w - lam1 would overflow: raised below
     elif lam1 < 0.0 and (vnorm(ghat[leftmost := w - lam1 <= 1e-12 * max(1.0, abs(lam1))])
                          <= _HARD_CASE_RTOL * gnorm):
         # Gradient numerically orthogonal to the leftmost eigenspace.
@@ -210,6 +217,7 @@ def certify(
     model: RegularizedModel,
     theta1: float,
     theta2: float | None = None,
+    min_eig: float | None = None,
 ) -> bool:
     """Check the step conditions the outer iteration requires.
 
@@ -217,7 +225,9 @@ def certify(
     predicate on (step, model), not a readback of StepResult fields.  They
     are model_terms' m(s) - m(0) and ||grad T(x,s)||, bit for bit, from one
     ||s||, at degree 2 one product H s, and at degree 1 no copy of g.  The
-    inequalities get relative slack _CERTIFY_RTOL.
+    curvature condition reads H's smallest eigenvalue from ``min_eig`` (a
+    driver's eigh) or else from eigvalsh, which can differ in the last bits.
+    The inequalities get relative slack _CERTIFY_RTOL.
     """
     g = model.bundle.gradient
     s = _as_vector(step.step)
@@ -240,7 +250,8 @@ def certify(
 
     if theta2 is not None and p == 2:
         cbound = theta2 * sigma / math.factorial(p - 1) * snorm ** (p - 1)
-        min_eig = float(np.linalg.eigvalsh(model.bundle.hessian)[0])
+        if min_eig is None:
+            min_eig = float(np.linalg.eigvalsh(model.bundle.hessian)[0])
         if min_eig < -cbound - _CERTIFY_RTOL * max(1.0, cbound):
             return False
     return True

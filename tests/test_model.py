@@ -4,8 +4,9 @@ import struct
 import numpy as np
 import pytest
 
-from offar import DerivativeBundle, RegularizedModel, model_terms
-from offar.model import all_finite, vnorm
+from offar import SUITE_NAMES, DerivativeBundle, RegularizedModel, model, model_terms
+from offar.model import all_finite, eigh, vnorm
+from test_oracle_values import FORMULAS, guarded_points
 
 
 def bits(x: float) -> bytes:
@@ -45,6 +46,43 @@ def test_all_finite_matches_isfinite(a):
     # No floating-point warning either: pyproject.toml makes one an error.
     a = np.array(a, dtype=float)
     assert all_finite(a) == bool(np.isfinite(a).all())
+
+
+class TestEigh:
+    """eigh must reproduce np.linalg.eigh bit for bit, values and vectors."""
+
+    @staticmethod
+    def assert_same(h):
+        w, v = eigh(h)
+        ref_w, ref_v = np.linalg.eigh(h)
+        assert w.tobytes() == ref_w.tobytes() and v.tobytes() == ref_v.tobytes()
+
+    @pytest.mark.parametrize("name", SUITE_NAMES)
+    def test_suite_hessians(self, name):
+        finite = 0
+        for x in guarded_points(name):
+            with np.errstate(all="ignore"):  # the far points overflow on purpose
+                h = FORMULAS[name](x, 2)[2]
+            if all_finite(h):  # eigh's domain, as the drivers call it
+                self.assert_same(h)
+                finite += 1
+        assert finite >= 51  # x0 and every box point
+
+    def test_random_symmetric(self):
+        rng = np.random.default_rng(7)
+        for n in range(1, 13):
+            for _ in range(50):
+                a = rng.standard_normal((n, n)) * 10.0 ** rng.uniform(-100, 100)
+                self.assert_same(0.5 * a + 0.5 * a.T)
+
+    def test_nan_result_raises(self, monkeypatch):
+        # LAPACK's failure to converge shows as NaN eigenvalues.
+        def failing(h, signature):
+            return np.full(len(h), np.nan), np.full(h.shape, np.nan)
+
+        monkeypatch.setattr(model._umath_linalg, "eigh_lo", failing)
+        with pytest.raises(np.linalg.LinAlgError):
+            eigh(np.eye(3))
 
 
 class TestDerivativeBundle:

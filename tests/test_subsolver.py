@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 
 from offar import (SUITE_NAMES, DerivativeBundle, RegularizedModel, StepResult, certify,
                    get_problem, model_terms, solve_p1, solve_p2)
-from offar.model import vnorm
+from offar.model import eigh, vnorm
 from offar.subsolver import _CERTIFY_RTOL, _HARD_CASE_RTOL, _secular_root
 
 
@@ -196,6 +196,14 @@ class TestSolveP2Examples:
         # root's start squares half an eigenvalue, which overflows to inf.
         H = np.array([[2.0**1023, 2.0**1023], [2.0**1023, -1.0]])
         with np.errstate(over="ignore"), pytest.raises(OverflowError, match="not finite"):
+            solve_p2(np.array([1.0, 1.0]), H, 1e300)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflowing_eigenvalue_spread_raises_without_warning(self):
+        # The same call outside np.errstate: the spread is caught before
+        # numpy's w - lam1 overflows, so no RuntimeWarning comes first.
+        H = np.array([[2.0**1023, 2.0**1023], [2.0**1023, -1.0]])
+        with pytest.raises(OverflowError, match="not finite"):
             solve_p2(np.array([1.0, 1.0]), H, 1e300)
 
 
@@ -511,6 +519,7 @@ class TestCertify:
         decisions = {case: [] for case in cases}
         for name in SUITE_NAMES:
             bundle = get_problem(name).evaluate(get_problem(name).x0)
+            min_eig = float(eigh(bundle.hessian)[0][0])
             for sigma in (1e-2, 1.0, 1e3):
                 exact = {1: solve_p1(bundle.gradient, sigma).step,
                          2: solve_p2(bundle.gradient, bundle.hessian, sigma).step}
@@ -520,6 +529,9 @@ class TestCertify:
                         step = StepResult(scale * exact[p], math.nan, math.nan, math.nan)
                         got = certify(step, model, 2.0, theta2)
                         assert got == self.reference(step, model, 2.0, theta2), (
+                            name, sigma, p, theta2, scale)
+                        # A driver's min_eig, from its eigh, decides the same.
+                        assert certify(step, model, 2.0, theta2, min_eig) == got, (
                             name, sigma, p, theta2, scale)
                         decisions[p, theta2].append(got)
         for case, got in decisions.items():

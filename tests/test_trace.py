@@ -39,6 +39,15 @@ class TestContainer:
         with pytest.raises(ValueError, match="unknown trace"):
             tr.append(k=0, gradient_norm=1.0)
 
+    def test_repeat_last_matches_append(self):
+        row = dict(grad_norm=2.0, sigma=1e20, accepted=0.0)
+        appended, repeated = RunTrace(), RunTrace()
+        for k, rho in enumerate([-1.5, 0.25, -0.0]):
+            appended.append(k=k + 3, rho=rho, **row)
+        repeated.append(k=3, rho=-1.5, **row)
+        repeated.repeat_last([0.25, -0.0])
+        assert np.array(repeated.rows).tobytes() == np.array(appended.rows).tobytes()
+
     def test_column_extraction(self):
         tr = sample_trace()
         np.testing.assert_array_equal(tr.column("k"), [0.0, 1.0, 2.0])
