@@ -8,7 +8,9 @@ built from a :class:`DerivativeBundle` at the current iterate.  The constant
 term f(x) is deliberately absent: the derivative-only solvers never see
 function values, and every consumer only compares model differences, so
 m(0) = 0 by construction.  :func:`model_terms` evaluates the model at a step:
-the Taylor decrease, m(s) and the Taylor gradient, from one product H s.
+the Taylor decrease, m(s), the Taylor gradient's norm and ||s||, from one
+product H s.  It is the one place that does: certify and the drivers read
+these numbers from it.
 """
 
 from __future__ import annotations
@@ -144,9 +146,10 @@ class RegularizedModel:
             raise ValueError("degree 2 model requires a hessian in the bundle")
 
 
-def model_terms(model: RegularizedModel, s) -> tuple[float, float, Array]:
-    """(T(x,0) - T(x,s), m(s) - m(0), grad T(x,s)) from one check of s and, at
-    degree 2, one product H s.  m(s) - m(0) < 0 iff s is a descent step."""
+def model_terms(model: RegularizedModel, s) -> tuple[float, float, float, float]:
+    """(T(x,0) - T(x,s), m(s) - m(0), ||grad T(x,s)||, ||s||) from one check of
+    s, one ||s|| and, at degree 2, one product H s.  m(s) - m(0) < 0 iff s is
+    a descent step."""
     g = model.bundle.gradient
     s = _as_vector(s)
     if s.size != g.size:
@@ -156,8 +159,9 @@ def model_terms(model: RegularizedModel, s) -> tuple[float, float, Array]:
     if p == 2:
         Hs = model.bundle.hessian @ s
         val += 0.5 * float(s @ Hs)
-        tgrad = g + Hs
+        tgrad_norm = vnorm(g + Hs)
     else:
-        tgrad = g.copy()
-    reg = model.sigma / math.factorial(p + 1) * vnorm(s) ** (p + 1)
-    return -val, val + reg, tgrad
+        tgrad_norm = vnorm(g)
+    snorm = vnorm(s)
+    reg = model.sigma / math.factorial(p + 1) * snorm ** (p + 1)
+    return -val, val + reg, tgrad_norm, snorm

@@ -27,7 +27,7 @@ from enum import Enum
 
 import numpy as np
 
-from .model import DerivativeBundle, RegularizedModel, eigh, model_terms, vnorm
+from .model import DerivativeBundle, RegularizedModel, eigh, model_terms
 from .subsolver import certify, solve_p1, solve_p2
 from .trace import RunTrace
 
@@ -274,16 +274,18 @@ def _run_offo(problem, config: OffoConfig, *, second_order: bool) -> RunOutcome:
             step = solve_p1(bundle.gradient, sigma)
         else:
             step = solve_p2(bundle.gradient, bundle.hessian, sigma, eig=eig)
-        if not certify(step, model, _THETA1, _THETA2 if second_order else None, min_eig):
+        terms = certify(step, model, _THETA1, _THETA2 if second_order else None, min_eig)
+        if not terms:
             raise CertificateError(
                 f"step conditions failed at iteration {k} (sigma={sigma!r})")
+        reduction, tgrad_norm, snorm = terms
+        if p == 1:  # the closed forms at -g/sigma; m(s) recomputed differs in the last bits
+            reduction, tgrad_norm = gnorm**2 / (2.0 * sigma), gnorm
 
-        snorm = vnorm(step.step)
         trace.append(
             k=k, grad_norm=gnorm, sigma=sigma, nu=state.nu, mu1=state.mu1,
-            mu2=state.mu2, step_norm=snorm, model_reduction=step.model_reduction,
-            taylor_grad_norm=step.taylor_grad_norm,
-            min_eig=min_eig, fvalue=bundle.fvalue,
+            mu2=state.mu2, step_norm=snorm, model_reduction=reduction,
+            taylor_grad_norm=tgrad_norm, min_eig=min_eig, fvalue=bundle.fvalue,
         )
 
         x = x + step.step
@@ -330,13 +332,13 @@ def run_ar2(problem, config: Ar2Config) -> RunOutcome:
     k = 0
     while not gnorm <= config.eps1 and k < config.max_iter:
         step = solve_p2(bundle.gradient, bundle.hessian, sigma, eig=eig)
-        decrease = model_terms(RegularizedModel(bundle, sigma, 2), step.step)[0]
-        if not (step.model_reduction > 0.0 and decrease > 0.0):
+        decrease, value, tgrad_norm, snorm = model_terms(
+            RegularizedModel(bundle, sigma, 2), step.step)
+        if not (value < 0.0 and decrease > 0.0):
             raise CertificateError(f"degenerate subproblem solution at iteration {k}")
         trial_x = x + step.step
-        row = dict(grad_norm=gnorm, sigma=sigma, step_norm=vnorm(step.step),
-                   model_reduction=step.model_reduction, min_eig=min_eig,
-                   taylor_grad_norm=step.taylor_grad_norm, fvalue=bundle.fvalue)
+        row = dict(grad_norm=gnorm, sigma=sigma, step_norm=snorm, model_reduction=-value,
+                   min_eig=min_eig, taylor_grad_norm=tgrad_norm, fvalue=bundle.fvalue)
         m = min(_AHEAD, config.max_iter - k)
         ahead = problem.peek(trial_x, m) if sigma == _GAMMA3 else None
         if ahead is not None:

@@ -15,7 +15,9 @@ orienting the eigenvector.
 Problem dimensions are desk scale (n <= a few dozen), so the dense route is
 both exact and cheap.  The drivers factorize each Hessian once per point with
 model.eigh and pass it to solve_p2 as ``eig`` and, in moffar2, its smallest
-eigenvalue to certify as ``min_eig``.
+eigenvalue to certify as ``min_eig``.  The solvers return the step alone;
+certify evaluates the model there once, through model_terms, and hands the
+offo drivers the numbers they trace.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import RegularizedModel, _as_vector, _symmetric, all_finite, eigh, vnorm
+from .model import RegularizedModel, _symmetric, all_finite, eigh, model_terms, vnorm
 
 Array = np.ndarray
 
@@ -39,12 +41,12 @@ _CERTIFY_RTOL = 1e-10
 
 @dataclass
 class StepResult:
-    """Step plus the certificates the outer iteration relies on."""
+    """A subproblem minimizer: the step, the multiplier lambda = sigma ||s|| / 2
+    (0 from solve_p1) and whether the hard case padded the step.  The model's
+    values at the step come from model_terms."""
 
     step: Array
     multiplier: float
-    taylor_grad_norm: float
-    model_reduction: float
     hard_case: bool = False
 
 
@@ -62,14 +64,7 @@ def solve_p1(g, sigma: float) -> StepResult:
         raise ValueError(f"sigma must be positive and finite, got {sigma}")
     if gnorm == 0.0:
         raise ValueError("zero gradient: the caller should have stopped")
-    s = -g / sigma
-    return StepResult(
-        step=s,
-        multiplier=0.0,
-        taylor_grad_norm=gnorm,
-        model_reduction=gnorm**2 / (2.0 * sigma),
-        hard_case=False,
-    )
+    return StepResult(step=-g / sigma, multiplier=0.0)
 
 
 def _oriented(u: Array) -> Array:
@@ -195,21 +190,7 @@ def solve_p2(g, H, sigma: float, *, eig=None) -> StepResult:
             f"secular root is not finite (||g|| = {gnorm!r}, sigma = {sigma!r}): "
             "the squared gradient, 2 lam/sigma or the spread of H's eigenvalues "
             "overflowed float64")
-
-    Hss = H @ s
-    tgrad = g + Hss
-    reduction = -(
-        float(g @ s)
-        + 0.5 * float(s @ Hss)
-        + sigma / 6.0 * vnorm(s) ** 3
-    )
-    return StepResult(
-        step=s,
-        multiplier=float(lam),
-        taylor_grad_norm=vnorm(tgrad),
-        model_reduction=reduction,
-        hard_case=hard,
-    )
+    return StepResult(step=s, multiplier=float(lam), hard_case=hard)
 
 
 def certify(
@@ -218,40 +199,29 @@ def certify(
     theta1: float,
     theta2: float | None = None,
     min_eig: float | None = None,
-) -> bool:
+) -> tuple[float, float, float] | None:
     """Check the step conditions the outer iteration requires.
 
-    All quantities are recomputed from the model, so this is an independent
-    predicate on (step, model), not a readback of StepResult fields.  They
-    are model_terms' m(s) - m(0) and ||grad T(x,s)||, bit for bit, from one
-    ||s||, at degree 2 one product H s, and at degree 1 no copy of g.  The
-    curvature condition reads H's smallest eigenvalue from ``min_eig`` (a
-    driver's eigh) or else from eigvalsh, which can differ in the last bits.
-    The inequalities get relative slack _CERTIFY_RTOL.
+    The conditions are m(s) - m(0) < 0, ||grad T(x,s)|| <= theta1 sigma/p!
+    ||s||^p and, given theta2 at p = 2, lambda_min(H) >= -theta2 sigma ||s||,
+    with H's smallest eigenvalue ``min_eig`` (required with theta2) from the
+    caller's factorization.  The inequalities get relative slack
+    _CERTIFY_RTOL.  Everything is read from model_terms at step.step, so this
+    is an independent predicate on (step, model).  Returns those terms,
+    (m(0) - m(s), ||grad T(x,s)||, ||s||), when the step passes, else None.
     """
-    g = model.bundle.gradient
-    s = _as_vector(step.step)
-    if s.size != g.size:
-        raise ValueError(f"step size {s.size} does not match dimension {g.size}")
+    if theta2 is not None and min_eig is None:
+        raise ValueError("the curvature condition needs min_eig")
+    _, value, tgrad_norm, snorm = model_terms(model, step.step)
+    if not value < 0.0:
+        return None
     p = model.degree
     sigma = model.sigma
-    val = float(g @ s)
-    if p == 2:
-        Hs = model.bundle.hessian @ s
-        val += 0.5 * float(s @ Hs)
-    snorm = vnorm(s)
-    if not val + sigma / math.factorial(p + 1) * snorm ** (p + 1) < 0.0:
-        return False
-
     bound = theta1 * sigma / math.factorial(p) * snorm**p
-    tgrad_norm = vnorm(g + Hs) if p == 2 else vnorm(g)
     if tgrad_norm > bound + _CERTIFY_RTOL * max(1.0, bound):
-        return False
-
+        return None
     if theta2 is not None and p == 2:
-        cbound = theta2 * sigma / math.factorial(p - 1) * snorm ** (p - 1)
-        if min_eig is None:
-            min_eig = float(np.linalg.eigvalsh(model.bundle.hessian)[0])
+        cbound = theta2 * sigma * snorm
         if min_eig < -cbound - _CERTIFY_RTOL * max(1.0, cbound):
-            return False
-    return True
+            return None
+    return -value, tgrad_norm, snorm

@@ -8,7 +8,9 @@ evaluator and appends (x, bundle) for every evaluation.  A derivative-only
 driver evaluates once at x0 and once per iteration, and accepts every step,
 so step k is the realized displacement x_{k+1} - x_k: the step actually
 taken, which is also the s that the Taylor error bounds against the
-derivatives at x_{k+1} need.
+derivatives at x_{k+1} need.  The traced model terms are checked bit for bit
+instead, against model_terms at the step solved anew from the recorded
+bundle and the traced sigma, which must carry x_k to x_{k+1} exactly.
 
 Inequalities that hold with equality in exact arithmetic (certificates at
 theta = 1, Lipschitz identities on quadratics where L2 = 0) are given a
@@ -21,7 +23,8 @@ import math
 
 import numpy as np
 
-from offar import RegularizedModel, StepResult, certify, theory_bounds
+from offar import (RegularizedModel, StepResult, certify, model_terms, solve_p1, solve_p2,
+                   theory_bounds)
 from offar.solvers import _THETA1, _THETA2
 
 REL = 1e-9
@@ -44,6 +47,65 @@ def recording(oracle):
         return bundle
 
     return dataclasses.replace(oracle, evaluator=evaluator), points
+
+
+def _bits(*values):
+    return np.array(values, dtype=float).tobytes()
+
+
+def _traced_terms(trace):
+    """Per row, the traced (model_reduction, taylor_grad_norm, step_norm)."""
+    return np.column_stack([trace.column(name)
+                            for name in ("model_reduction", "taylor_grad_norm", "step_norm")])
+
+
+def _terms_violations(k, traced, bundle, sigma, p):
+    """The step a driver takes at (bundle, sigma), and the violations of row
+    k's traced model_reduction, taylor_grad_norm and step_norm against
+    model_terms there: bit for bit, except that at p = 1 the trace keeps the
+    closed form ||g||^2 / (2 sigma) of m(0) - m(s), checked to REL."""
+    if p == 1:
+        s = solve_p1(bundle.gradient, sigma).step
+    else:
+        s = solve_p2(bundle.gradient, bundle.hessian, sigma).step
+    _, value, tgrad_norm, snorm = model_terms(RegularizedModel(bundle, sigma, p), s)
+    traced, want = traced.tolist(), [-value, tgrad_norm, snorm]
+    bad = []
+    if p == 1:
+        if not (_le(traced[0], want[0]) and _le(want[0], traced[0])):
+            bad.append(f"k={k}: model_reduction {traced[0]!r} is not m(0) - m(s) = {want[0]!r}")
+        traced[0] = want[0]
+    if _bits(*traced) != _bits(*want):
+        bad.append(f"k={k}: traced (m(0) - m(s), ||grad T||, ||s||) = {traced!r}, "
+                   f"model_terms gives {want!r}")
+    return s, bad
+
+
+def check_ar2_terms(outcome, points):
+    """check_offo_invariants' bitwise model-terms check for an ar2 run.
+
+    points is recording()'s list: x_0 and one trial point per iteration, which
+    holds while no retry is screened at the sigma cap.  Row k's bundle is the
+    last accepted point's, and the step solved there must reach row k's trial
+    point exactly.
+    """
+    K = outcome.iterations
+    if len(points) != K + 1:
+        raise ValueError(f"{K} iterations need {K + 1} recorded points, got {len(points)}")
+    tr = outcome.trace
+    sigma, accepted = tr.column("sigma"), tr.column("accepted")
+    traced = _traced_terms(tr)
+    x, bundle = points[0]
+    bad = []
+    for k in range(K):
+        s, row_bad = _terms_violations(k, traced[k], bundle, sigma[k], 2)
+        bad += row_bad
+        trial_x, trial = points[k + 1]
+        if _bits(*(x + s)) != _bits(*trial_x):
+            bad.append(f"k={k}: the trial point is not x + the step solved at sigma_k")
+        if accepted[k] == 1.0:
+            x, bundle = trial_x, trial
+    return bad
 
 
 def check_offo_invariants(outcome, config, points, oracle=None, check_lipschitz=True):
@@ -84,11 +146,18 @@ def check_offo_invariants(outcome, config, points, oracle=None, check_lipschitz=
             bad.append(f"k={k}: sigma={sigma[k]!r} outside [{lo!r}, {hi!r}]")
 
     theta2 = _THETA2 if config.eps2 is not None else None
+    traced = _traced_terms(tr)
     for k in range(K):
-        # certify recomputes everything from the model and reads only the step.
-        taken = StepResult(steps[k], math.nan, math.nan, math.nan)
-        if not certify(taken, RegularizedModel(bundles[k], sigma[k], p), _THETA1, theta2):
+        # certify recomputes everything from the model and reads only the step;
+        # the curvature condition gets this checker's own smallest eigenvalue.
+        taken = StepResult(steps[k], math.nan)
+        min_eig = None if theta2 is None else float(np.linalg.eigvalsh(bundles[k].hessian)[0])
+        if not certify(taken, RegularizedModel(bundles[k], sigma[k], p), _THETA1, theta2, min_eig):
             bad.append(f"k={k}: step certificate failed (sigma={sigma[k]!r})")
+        s, row_bad = _terms_violations(k, traced[k], bundles[k], sigma[k], p)
+        bad += row_bad
+        if _bits(*(points[k][0] + s)) != _bits(*points[k + 1][0]):
+            bad.append(f"k={k}: x_(k+1) is not x_k + the step solved at sigma_k")
 
     L = oracle.meta.lipschitz.get(p) if oracle is not None else None
     if L is None or not check_lipschitz:

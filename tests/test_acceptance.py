@@ -17,8 +17,9 @@ from test_profiles import riemann_pi
 from test_subsolver import bisect_multiplier, grid_min_1d, grid_min_2d
 
 from offar import (DerivativeBundle, OffoConfig, ProblemMeta, ProblemOracle,
-                   RunStatus, SUITE_NAMES, compute_profile, get_problem,
-                   run_bench, run_moffar, run_offar, run_single, solve_p2)
+                   RegularizedModel, RunStatus, SUITE_NAMES, compute_profile,
+                   get_problem, model_terms, run_bench, run_moffar, run_offar,
+                   run_single, solve_p2)
 from offar.bounds import theory_bounds
 from offar.solvers import practical_nu0
 from offar.worstcase import (gen_first_order, gen_second_order,
@@ -120,9 +121,11 @@ def test_06_subproblem_against_grid():
             g1 = float(rng.uniform(-2.0, 2.0))
             H1 = float(rng.uniform(-2.0, 2.0))
             sigma = float(np.exp(rng.uniform(np.log(4.0), np.log(40.0))))
-            step = solve_p2(np.array([g1]), np.array([[H1]]), sigma)
+            bundle = DerivativeBundle(np.array([g1]), np.array([[H1]]))
+            step = solve_p2(bundle.gradient, bundle.hessian, sigma)
             _, grid_val = grid_min_1d(g1, H1, sigma)
-            assert abs(-step.model_reduction - grid_val) <= 1e-6
+            value = model_terms(RegularizedModel(bundle, sigma, 2), step.step)[1]
+            assert abs(value - grid_val) <= 1e-6
             if abs(g1) > 1e-12:
                 lam = sigma * abs(float(step.step[0])) / 2.0
                 ref = bisect_multiplier(g1, H1, sigma)
@@ -134,7 +137,8 @@ def test_06_subproblem_against_grid():
             sigma = float(np.exp(rng.uniform(np.log(4.0), np.log(40.0))))
             step = solve_p2(g, H, sigma)
             grid_val = grid_min_2d(g, H, sigma)
-            assert abs(-step.model_reduction - grid_val) <= 1e-6
+            value = model_terms(RegularizedModel(DerivativeBundle(g, H), sigma, 2), step.step)[1]
+            assert abs(value - grid_val) <= 1e-6
         assert time.perf_counter() - t0 < 60.0
 
 

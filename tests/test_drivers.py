@@ -7,9 +7,9 @@ import math
 import numpy as np
 import pytest
 
-from _checks import check_offo_invariants, recording
-from offar import (Ar2Config, DerivativeBundle, NoiseSpec, OffoConfig,
-                   ProblemMeta, ProblemOracle, RunStatus, add_noise, get_problem,
+from _checks import check_ar2_terms, check_offo_invariants, recording
+from offar import (SUITE_NAMES, Ar2Config, DerivativeBundle, NoiseSpec, OffoConfig,
+                   ProblemMeta, ProblemOracle, RunStatus, add_noise, get_problem, model,
                    run_ar2, run_moffar, run_offar, run_single, solve_p2, solvers,
                    subsolver)
 from offar.trace import COLUMNS, RunTrace
@@ -248,7 +248,7 @@ class TestCertificateErrors:
             run_offar(po, OffoConfig(degree=2, eps1=1e-6))
 
     def test_ar2_raises_on_zero_taylor_decrease(self, monkeypatch):
-        monkeypatch.setattr(solvers, "model_terms", lambda model, s: (0.0, 0.0, None))
+        monkeypatch.setattr(solvers, "model_terms", lambda model, s: (0.0, 0.0, 0.0, 0.0))
         po = quadratic_oracle(np.eye(2), np.ones(2), np.zeros(2))
         with pytest.raises(solvers.CertificateError, match="iteration 0"):
             run_ar2(po, Ar2Config(eps1=1e-6))
@@ -287,6 +287,111 @@ class TestFactorizations:
         accepted = int(out.trace.column("accepted")[:-1].sum())
         assert 0 < accepted < out.iterations
         assert counts == {"eigh": 1 + accepted, "eigvalsh": 0}
+
+
+class _CountingMatrix(np.ndarray):
+    """A Hessian that counts the matrix products it takes part in, in
+    counts["H @ s"]; every other numpy operation sees a plain array."""
+
+    counts: dict
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        if ufunc is np.matmul:
+            _CountingMatrix.counts["H @ s"] += 1
+        inputs = [a.view(np.ndarray) if isinstance(a, _CountingMatrix) else a for a in inputs]
+        return getattr(ufunc, method)(*inputs, **kwargs)
+
+
+class TestModelEvaluations:
+    """Each p = 2 iteration evaluates the model at its step once: one H @ s,
+    in model_terms, and four vector norms (||g|| at the point, in
+    finite_grad_norm and again in solve_p2, then ||s|| and ||g + H s||), plus
+    solve_p2's check of the leftmost eigenspace where H has a negative
+    eigenvalue."""
+
+    def run_counted(self, monkeypatch, driver, config):
+        counts = {"vnorm": 0, "H @ s": 0}
+        monkeypatch.setattr(_CountingMatrix, "counts", counts, raising=False)
+        # vnorm wherever the library looks it up.
+        for module in (model, subsolver, solvers):
+            if hasattr(module, "vnorm"):
+                def counting(v, _original=getattr(module, "vnorm")):
+                    counts["vnorm"] += 1
+                    return _original(v)
+                monkeypatch.setattr(module, "vnorm", counting)
+        problem = get_problem("rosenbr")
+        evaluate = problem.evaluator
+
+        def evaluator(x, degree):
+            bundle = evaluate(x, degree)
+            bundle.hessian = bundle.hessian.view(_CountingMatrix)
+            return bundle
+
+        out = driver(dataclasses.replace(problem, evaluator=evaluator), config)
+        negative = int(np.count_nonzero(out.trace.column("min_eig")[:-1] < 0.0))
+        return out, counts, negative
+
+    def test_offar2a(self, monkeypatch):
+        out, counts, negative = self.run_counted(
+            monkeypatch, run_offar, OffoConfig(degree=2, eps1=1e-6))
+        k = out.iterations
+        assert out.status == RunStatus.FIRST_ORDER and k > 0
+        assert counts == {"vnorm": 4 * k + 1 + negative, "H @ s": k}
+
+    def test_moffar2(self, monkeypatch):
+        out, counts, negative = self.run_counted(
+            monkeypatch, run_moffar, OffoConfig(degree=2, eps1=1e-6, eps2=1e-6))
+        k = out.iterations
+        assert out.status == RunStatus.SECOND_ORDER and k > 0
+        assert counts == {"vnorm": 4 * k + 1 + negative, "H @ s": k}
+
+    def test_ar2(self, monkeypatch):
+        # One evaluation, hence one ||g||, per trial point instead of per point.
+        out, counts, negative = self.run_counted(monkeypatch, run_ar2, Ar2Config(eps1=1e-6))
+        k = out.iterations
+        assert out.status == RunStatus.FIRST_ORDER and k > 0
+        assert counts == {"vnorm": 4 * k + 1 + negative, "H @ s": k}
+
+
+class TestTracedModelTerms:
+    """Every non-terminal row's model_reduction, taylor_grad_norm and
+    step_norm are model_terms at the recorded bundle and the step, bit for
+    bit (offar1's model_reduction, a closed form, to REL); the checkers solve
+    the step anew and require it to reach the next recorded point exactly."""
+
+    CONFIGS = {"offar1": OffoConfig(degree=1, eps1=1e-6, max_iter=500),
+               "offar2a": OffoConfig(degree=2, eps1=1e-6),
+               "moffar2": OffoConfig(degree=2, eps1=1e-6, eps2=1e-6)}
+
+    @pytest.mark.parametrize("name", SUITE_NAMES)
+    @pytest.mark.parametrize("algorithm", ["offar1", "offar2a", "moffar2", "ar2"])
+    def test_clean_suite(self, name, algorithm):
+        po, points = recording(get_problem(name))
+        if algorithm == "ar2":
+            out = run_ar2(po, Ar2Config(eps1=1e-6))
+            assert check_ar2_terms(out, points) == []
+        else:
+            cfg = self.CONFIGS[algorithm]
+            out = (run_moffar if cfg.eps2 else run_offar)(po, cfg)
+            assert check_offo_invariants(out, cfg, points) == []
+        assert out.iterations > 0
+
+    @pytest.mark.parametrize("algorithm", ["offar2a", "ar2"])
+    def test_noisy(self, algorithm):
+        # A plain ProblemOracle around the noise wrapper cannot peek, so ar2
+        # evaluates, and recording records, every retry at its sigma cap too.
+        oracle = get_problem("rosenbr")
+        noisy = add_noise(oracle, NoiseSpec(0.25, 2, fvalue=algorithm == "ar2"))
+        po, points = recording(ProblemOracle(oracle.name, oracle.n, noisy.x0, noisy.evaluator))
+        if algorithm == "ar2":
+            out = run_ar2(po, Ar2Config(eps1=1e-3, max_iter=700))
+            assert out.trace.column("sigma")[-2] == solvers._GAMMA3
+            assert check_ar2_terms(out, points) == []
+        else:
+            cfg = OffoConfig(degree=2, eps1=1e-3, max_iter=2000)
+            out = run_offar(po, cfg)
+            assert check_offo_invariants(out, cfg, points) == []
+        assert out.iterations > 0
 
 
 class TestMoffar:

@@ -88,10 +88,12 @@ class TestGrid1d:
 
 class TestSolveP1:
     def test_closed_form(self):
-        r = solve_p1(np.array([0.3, 0.4]), 1.0)
+        g = np.array([0.3, 0.4])
+        r = solve_p1(g, 1.0)
         np.testing.assert_allclose(r.step, [-0.3, -0.4])
-        assert r.model_reduction == pytest.approx(0.5**2 / 2.0)
-        assert r.taylor_grad_norm == pytest.approx(0.5)
+        _, value, tgrad_norm, _ = model_terms(RegularizedModel(DerivativeBundle(g), 1.0, 1), r.step)
+        assert -value == pytest.approx(0.5**2 / 2.0)
+        assert tgrad_norm == pytest.approx(0.5)
         assert r.multiplier == 0.0
 
     def test_scaling_with_sigma(self):
@@ -136,9 +138,11 @@ class TestSolveP2Examples:
         r = solve_p2(np.array([0.0]), np.array([[-2.0]]), 2.0)
         np.testing.assert_allclose(r.step, [2.0], rtol=1e-12)
         assert r.hard_case
-        assert r.model_reduction == pytest.approx(4.0 / 3.0, rel=1e-12)
+        m = RegularizedModel(DerivativeBundle(np.array([0.0]), np.array([[-2.0]])), 2.0, 2)
+        value = model_terms(m, r.step)[1]
+        assert -value == pytest.approx(4.0 / 3.0, rel=1e-12)
         _, m_ref = grid_min_1d(0.0, -2.0, 2.0, radius=2.5)
-        assert -r.model_reduction == pytest.approx(m_ref, abs=2e-6)
+        assert value == pytest.approx(m_ref, abs=2e-6)
 
     def test_zero_gradient_psd_rejected(self):
         with pytest.raises(ValueError):
@@ -156,8 +160,9 @@ class TestSolveP2Examples:
         assert np.linalg.norm(r.step) == pytest.approx(4.0, rel=1e-12)
         # first component padded positive by the orientation rule
         assert r.step[0] > 0.0
+        # s = (alpha, -1/3) with alpha^2 = 16 - 1/9: m(s) = -17/6.
         m = RegularizedModel(DerivativeBundle(g, H), sigma, 2)
-        assert model_terms(m, r.step)[1] == pytest.approx(-r.model_reduction, rel=1e-12)
+        assert model_terms(m, r.step)[1] == pytest.approx(-17.0 / 6.0, rel=1e-12)
 
     def test_hard_case_sign_deterministic(self):
         r1 = solve_p2(np.array([0.0, 0.0]), np.diag([-2.0, 1.0]), 2.0)
@@ -169,10 +174,9 @@ class TestSolveP2Examples:
         g = np.array([1e-13, 1.0])
         H = np.diag([-1.0, 2.0])
         r = solve_p2(g, H, 0.5)
-        m = RegularizedModel(DerivativeBundle(g, H), 0.5, 2)
         # model stationarity regardless of which branch fired:
         # grad m(s) = grad T(x,s) + sigma/2 ||s|| s
-        tgrad = model_terms(m, r.step)[2]
+        tgrad = g + H @ r.step
         assert np.linalg.norm(tgrad + 0.5 / 2.0 * vnorm(r.step) * r.step) < 1e-9
 
     def test_shape_and_finiteness_errors(self):
@@ -218,7 +222,7 @@ class TestSolveP2Properties:
             r = solve_p2(g, H, sigma)
             m = RegularizedModel(DerivativeBundle(g, H), sigma, 2)
             mv = model_terms(m, r.step)[1]
-            assert mv == pytest.approx(-r.model_reduction, rel=1e-10, abs=1e-12)
+            assert mv < 0.0
             assert mv <= grid_min_2d(g, H, sigma) + 1e-9
 
     def test_bisection_agreement_1d(self):
@@ -257,25 +261,6 @@ class TestSolveP2Properties:
         norms = [float(np.linalg.norm(solve_p2(g, H, s).step)) for s in sigmas]
         assert all(a > b for a, b in zip(norms, norms[1:]))
 
-    def test_tail_matches_model_terms(self):
-        # solve_p2 evaluates the model at its step itself, in model_terms'
-        # order of operations: both agree bit for bit, hard cases included.
-        rng = np.random.default_rng(23)
-        for k in range(200):
-            n = int(rng.integers(1, 8))
-            g = rng.normal(size=n) * 10.0 ** rng.uniform(-3.0, 3.0)
-            A = rng.normal(size=(n, n)) * 10.0 ** rng.uniform(-3.0, 3.0)
-            if k % 4 == 0:
-                g[0] = 0.0
-                A[0, :] = A[:, 0] = 0.0
-                A[0, 0] = -1.0
-            sigma = float(10.0 ** rng.uniform(-3.0, 3.0))
-            r = solve_p2(g, A, sigma)
-            _, value, tgrad = model_terms(
-                RegularizedModel(DerivativeBundle(g, A), sigma, 2), r.step)
-            assert value == -r.model_reduction
-            assert vnorm(tgrad) == r.taylor_grad_norm
-
     def test_model_reduction_positive(self):
         rng = np.random.default_rng(19)
         for _ in range(30):
@@ -284,7 +269,8 @@ class TestSolveP2Properties:
             A = rng.normal(size=(n, n))
             H = 0.5 * (A + A.T)
             r = solve_p2(g, H, 2.0)
-            assert r.model_reduction > 0.0
+            m = RegularizedModel(DerivativeBundle(g, H), 2.0, 2)
+            assert -model_terms(m, r.step)[1] > 0.0
 
 
 def secular_inputs(rng, n):
@@ -434,7 +420,7 @@ class TestSolveP2Hypothesis:
                 keep[:] = True
             assert near_secular_root(w[keep], g[keep] ** 2, sigma, r.multiplier)
         m = RegularizedModel(DerivativeBundle(g, np.diag(w)), sigma, 2)
-        assert model_terms(m, r.step)[1] == pytest.approx(-r.model_reduction, rel=1e-10)
+        assert model_terms(m, r.step)[1] < 0.0
 
 
 class TestCertify:
@@ -449,28 +435,22 @@ class TestCertify:
     def test_exact_step_passes_at_theta_one(self):
         r, m, theta1 = self.exact_setup()
         assert certify(r, m, theta1)
-        assert certify(r, m, theta1, theta2=1.0)
+        assert certify(r, m, theta1, theta2=1.0, min_eig=1.0)
 
     def test_shrunk_step_fails(self):
         r, m, theta1 = self.exact_setup()
-        shrunk = StepResult(step=0.9 * r.step, multiplier=r.multiplier,
-                            taylor_grad_norm=r.taylor_grad_norm,
-                            model_reduction=r.model_reduction)
+        shrunk = StepResult(step=0.9 * r.step, multiplier=r.multiplier)
         assert not certify(shrunk, m, theta1)
 
     def test_inflated_step_still_passes(self):
         # Inflating the step loosens both one-sided inequalities here.
         r, m, theta1 = self.exact_setup()
-        grown = StepResult(step=1.1 * r.step, multiplier=r.multiplier,
-                           taylor_grad_norm=r.taylor_grad_norm,
-                           model_reduction=r.model_reduction)
+        grown = StepResult(step=1.1 * r.step, multiplier=r.multiplier)
         assert certify(grown, m, theta1)
 
     def test_descent_violation_detected(self):
         r, m, theta1 = self.exact_setup()
-        uphill = StepResult(step=-r.step, multiplier=r.multiplier,
-                            taylor_grad_norm=r.taylor_grad_norm,
-                            model_reduction=r.model_reduction)
+        uphill = StepResult(step=-r.step, multiplier=r.multiplier)
         assert not certify(uphill, m, theta1)
 
     def test_curvature_bound(self):
@@ -479,34 +459,55 @@ class TestCertify:
         sigma = 0.5
         r = solve_p2(g, H, sigma)
         m = RegularizedModel(DerivativeBundle(g, H), sigma, 2)
-        assert certify(r, m, 1.0, theta2=1.0)
+        assert certify(r, m, 1.0, theta2=1.0, min_eig=-1.0)
         # a zero step cannot meet the curvature certificate on this instance
-        tiny = StepResult(step=np.array([0.0, -1e-8]), multiplier=0.0,
-                          taylor_grad_norm=1.0, model_reduction=1e-16)
-        assert not certify(tiny, m, 1.0, theta2=1.0)
+        tiny = StepResult(step=np.array([0.0, -1e-8]), multiplier=0.0)
+        assert not certify(tiny, m, 1.0, theta2=1.0, min_eig=-1.0)
+
+    def test_curvature_needs_min_eig(self):
+        r, m, theta1 = self.exact_setup()
+        with pytest.raises(ValueError, match="min_eig"):
+            certify(r, m, theta1, theta2=1.0)
 
     def test_recomputes_from_model(self):
-        # certify must ignore the recorded taylor_grad_norm field.
-        r, m, theta1 = self.exact_setup()
-        lied = StepResult(step=r.step, multiplier=r.multiplier,
-                          taylor_grad_norm=1e6, model_reduction=r.model_reduction)
-        assert certify(lied, m, theta1)
+        # certify reads only the step, and hands back model_terms' numbers
+        # there, (m(0) - m(s), ||grad T(x,s)||, ||s||), bit for bit, hard
+        # cases included.
+        rng = np.random.default_rng(23)
+        for k in range(200):
+            n = int(rng.integers(1, 8))
+            g = rng.normal(size=n) * 10.0 ** rng.uniform(-3.0, 3.0)
+            A = rng.normal(size=(n, n)) * 10.0 ** rng.uniform(-3.0, 3.0)
+            if k % 4 == 0:
+                g[0] = 0.0
+                A[0, :] = A[:, 0] = 0.0
+                A[0, 0] = -1.0
+            sigma = float(10.0 ** rng.uniform(-3.0, 3.0))
+            r = solve_p2(g, A, sigma)
+            lied = StepResult(r.step, multiplier=math.nan, hard_case=not r.hard_case)
+            model = RegularizedModel(DerivativeBundle(g, A), sigma, 2)
+            _, value, tgrad_norm, snorm = model_terms(model, r.step)
+            assert certify(lied, model, 2.0) == (-value, tgrad_norm, snorm)
 
     @staticmethod
-    def reference(step, model, theta1, theta2):
-        """The step conditions written out from model_terms, as certify's
-        docstring states them."""
+    def reference(step, model, theta1, theta2, min_eig):
+        """The step conditions written out, as certify's docstring states
+        them, without model_terms."""
         p, sigma, s = model.degree, model.sigma, step.step
-        _, value, tgrad = model_terms(model, s)
+        g, H = model.bundle.gradient, model.bundle.hessian
+        snorm = float(np.linalg.norm(s))
+        value = float(g @ s) + sigma / math.factorial(p + 1) * snorm ** (p + 1)
+        tgrad = g.copy()
+        if p == 2:
+            value += 0.5 * float(s @ H @ s)
+            tgrad += H @ s
         if not value < 0.0:
             return False
-        snorm = float(np.linalg.norm(s))
         bound = theta1 * sigma / math.factorial(p) * snorm**p
         if float(np.linalg.norm(tgrad)) > bound + _CERTIFY_RTOL * max(1.0, bound):
             return False
         if theta2 is not None and p == 2:
             cbound = theta2 * sigma * snorm
-            min_eig = float(np.linalg.eigvalsh(model.bundle.hessian)[0])
             return not min_eig < -cbound - _CERTIFY_RTOL * max(1.0, cbound)
         return True
 
@@ -520,18 +521,19 @@ class TestCertify:
         for name in SUITE_NAMES:
             bundle = get_problem(name).evaluate(get_problem(name).x0)
             min_eig = float(eigh(bundle.hessian)[0][0])
+            eigvalsh_min = float(np.linalg.eigvalsh(bundle.hessian)[0])
             for sigma in (1e-2, 1.0, 1e3):
                 exact = {1: solve_p1(bundle.gradient, sigma).step,
                          2: solve_p2(bundle.gradient, bundle.hessian, sigma).step}
                 for p, theta2 in cases:
                     model = RegularizedModel(bundle, sigma, p)
                     for scale in (0.0, 0.5, 1.0, 1.5, -1.0):
-                        step = StepResult(scale * exact[p], math.nan, math.nan, math.nan)
-                        got = certify(step, model, 2.0, theta2)
-                        assert got == self.reference(step, model, 2.0, theta2), (
+                        step = StepResult(scale * exact[p], math.nan)
+                        got = bool(certify(step, model, 2.0, theta2, eigvalsh_min))
+                        assert got == self.reference(step, model, 2.0, theta2, eigvalsh_min), (
                             name, sigma, p, theta2, scale)
                         # A driver's min_eig, from its eigh, decides the same.
-                        assert certify(step, model, 2.0, theta2, min_eig) == got, (
+                        assert bool(certify(step, model, 2.0, theta2, min_eig)) == got, (
                             name, sigma, p, theta2, scale)
                         decisions[p, theta2].append(got)
         for case, got in decisions.items():
