@@ -211,6 +211,22 @@ class TestSolveP2Examples:
             solve_p2(np.array([1.0, 1.0]), H, 1e300)
 
 
+def scaled_p2_instances():
+    """200 seeded (g, H, sigma) with n = 1..7 and entries and sigma over
+    1e-3..1e3; every fourth is a hard case (g[0] = 0, H's first row and
+    column e_1 times -1)."""
+    rng = np.random.default_rng(23)
+    for k in range(200):
+        n = int(rng.integers(1, 8))
+        g = rng.normal(size=n) * 10.0 ** rng.uniform(-3.0, 3.0)
+        A = rng.normal(size=(n, n)) * 10.0 ** rng.uniform(-3.0, 3.0)
+        if k % 4 == 0:
+            g[0] = 0.0
+            A[0, :] = A[:, 0] = 0.0
+            A[0, 0] = -1.0
+        yield g, A, float(10.0 ** rng.uniform(-3.0, 3.0))
+
+
 class TestSolveP2Properties:
     def test_grid_agreement_2d(self):
         rng = np.random.default_rng(42)
@@ -260,6 +276,21 @@ class TestSolveP2Properties:
         sigmas = np.exp(np.linspace(np.log(0.05), np.log(500.0), 20))
         norms = [float(np.linalg.norm(solve_p2(g, H, s).step)) for s in sigmas]
         assert all(a > b for a, b in zip(norms, norms[1:]))
+
+    def test_tail_matches_model_terms(self):
+        # The drivers trace model_terms at solve_p2's step: it gives the
+        # numbers of the evaluation written out below (H s once, with H as
+        # the bundle symmetrizes it, then g.s + s.Hs/2 + sigma/6 ||s||^3 and
+        # ||g + H s||) bit for bit, hard cases included.
+        for g, A, sigma in scaled_p2_instances():
+            s = solve_p2(g, A, sigma).step
+            bundle = DerivativeBundle(g, A)
+            Hs = bundle.hessian @ s
+            reduction = -(float(g @ s) + 0.5 * float(s @ Hs) + sigma / 6.0 * vnorm(s) ** 3)
+            _, value, tgrad_norm, snorm = model_terms(RegularizedModel(bundle, sigma, 2), s)
+            assert value == -reduction
+            assert tgrad_norm == vnorm(g + Hs)
+            assert snorm == vnorm(s)
 
     def test_model_reduction_positive(self):
         rng = np.random.default_rng(19)
@@ -473,16 +504,7 @@ class TestCertify:
         # certify reads only the step, and hands back model_terms' numbers
         # there, (m(0) - m(s), ||grad T(x,s)||, ||s||), bit for bit, hard
         # cases included.
-        rng = np.random.default_rng(23)
-        for k in range(200):
-            n = int(rng.integers(1, 8))
-            g = rng.normal(size=n) * 10.0 ** rng.uniform(-3.0, 3.0)
-            A = rng.normal(size=(n, n)) * 10.0 ** rng.uniform(-3.0, 3.0)
-            if k % 4 == 0:
-                g[0] = 0.0
-                A[0, :] = A[:, 0] = 0.0
-                A[0, 0] = -1.0
-            sigma = float(10.0 ** rng.uniform(-3.0, 3.0))
+        for g, A, sigma in scaled_p2_instances():
             r = solve_p2(g, A, sigma)
             lied = StepResult(r.step, multiplier=math.nan, hard_case=not r.hard_case)
             model = RegularizedModel(DerivativeBundle(g, A), sigma, 2)
