@@ -145,6 +145,16 @@ class RegularizedModel:
         if self.degree == 2 and self.bundle.hessian is None:
             raise ValueError("degree 2 model requires a hessian in the bundle")
 
+    @classmethod
+    def _of_checked(cls, bundle: DerivativeBundle, sigma: float,
+                    degree: int) -> RegularizedModel:
+        """The constructor's model, bit for bit, without its checks: for a
+        sigma that solve_p1 or solve_p2 has passed, a degree of 1 or 2 and,
+        at degree 2, a bundle with a Hessian."""
+        model = object.__new__(cls)
+        model.bundle, model.sigma, model.degree = bundle, float(sigma), degree
+        return model
+
 
 def model_terms(model: RegularizedModel, s) -> tuple[float, float, float, float]:
     """(T(x,0) - T(x,s), m(s) - m(0), ||grad T(x,s)||, ||s||) from one check of

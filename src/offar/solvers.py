@@ -191,7 +191,7 @@ def sigma_select(state: SolverState, config: OffoConfig) -> float:
         value = max(lo, *mus)
     else:
         value = max(lo, state.mu1, _SIGMA_FALL * state.sigma)
-    return min(max(value, lo), max(max(state.nu, *mus), lo))
+    return min(value, max(max(state.nu, *mus), lo))
 
 
 def _factorize(bundle: DerivativeBundle) -> tuple:
@@ -269,11 +269,13 @@ def _run_offo(problem, config: OffoConfig, *, second_order: bool) -> RunOutcome:
             sigma = sigma_select(state, config)
         state.sigma = sigma
 
-        model = RegularizedModel(bundle, sigma, p)
+        # gnorm vouches for the gradient, which finite_grad_norm has passed;
+        # the solve checks sigma, so the model is built unchecked after it.
         if p == 1:
-            step = solve_p1(bundle.gradient, sigma)
+            step = solve_p1(bundle.gradient, sigma, gnorm=gnorm)
         else:
-            step = solve_p2(bundle.gradient, bundle.hessian, sigma, eig=eig)
+            step = solve_p2(bundle.gradient, bundle.hessian, sigma, eig=eig, gnorm=gnorm)
+        model = RegularizedModel._of_checked(bundle, sigma, p)
         terms = certify(step, model, _THETA1, _THETA2 if second_order else None, min_eig)
         if not terms:
             raise CertificateError(
@@ -331,9 +333,9 @@ def run_ar2(problem, config: Ar2Config) -> RunOutcome:
 
     k = 0
     while not gnorm <= config.eps1 and k < config.max_iter:
-        step = solve_p2(bundle.gradient, bundle.hessian, sigma, eig=eig)
+        step = solve_p2(bundle.gradient, bundle.hessian, sigma, eig=eig, gnorm=gnorm)
         decrease, value, tgrad_norm, snorm = model_terms(
-            RegularizedModel(bundle, sigma, 2), step.step)
+            RegularizedModel._of_checked(bundle, sigma, 2), step.step)
         if not (value < 0.0 and decrease > 0.0):
             raise CertificateError(f"degenerate subproblem solution at iteration {k}")
         trial_x = x + step.step

@@ -15,7 +15,10 @@ orienting the eigenvector.
 Problem dimensions are desk scale (n <= a few dozen), so the dense route is
 both exact and cheap.  The drivers factorize each Hessian once per point with
 model.eigh and pass it to solve_p2 as ``eig`` and, in moffar2, its smallest
-eigenvalue to certify as ``min_eig``.  The solvers return the step alone;
+eigenvalue to certify as ``min_eig``.  They pass the gradient norm that
+DerivativeBundle.finite_grad_norm has just compared with inf as ``gnorm``,
+so solve_p1 and solve_p2 skip their own check of g.  Without ``eig`` and
+``gnorm`` every input is checked here.  The solvers return the step alone;
 certify evaluates the model there once, through model_terms, and hands the
 offo drivers the numbers they trace.
 """
@@ -50,16 +53,18 @@ class StepResult:
     hard_case: bool = False
 
 
-def solve_p1(g, sigma: float) -> StepResult:
-    """Global minimizer of g.s + sigma/2 ||s||^2, i.e. s = -g/sigma."""
-    g = np.asarray(g, dtype=float)
-    if g.ndim == 0:
-        g = g.reshape(1)
-    # A non-finite entry makes the norm inf or NaN; finite entries can
-    # overflow it too, so only then are the entries scanned.
-    gnorm = vnorm(g)
-    if not (gnorm < math.inf or all_finite(g)):
-        raise ValueError("gradient must be finite")
+def solve_p1(g, sigma: float, *, gnorm: float | None = None) -> StepResult:
+    """Global minimizer of g.s + sigma/2 ||s||^2, i.e. s = -g/sigma.  Given
+    ``gnorm``, g goes unchecked, as in solve_p2."""
+    if gnorm is None:
+        g = np.asarray(g, dtype=float)
+        if g.ndim == 0:
+            g = g.reshape(1)
+        # A non-finite entry makes the norm inf or NaN; finite entries can
+        # overflow it too, so only then are the entries scanned.
+        gnorm = vnorm(g)
+        if not (gnorm < math.inf or all_finite(g)):
+            raise ValueError("gradient must be finite")
     if not (sigma > 0.0) or not math.isfinite(sigma):
         raise ValueError(f"sigma must be positive and finite, got {sigma}")
     if gnorm == 0.0:
@@ -122,7 +127,24 @@ def _secular_root(w: Array, ghat2: Array, sigma: float, lam_low: float) -> float
         lam = nxt
 
 
-def solve_p2(g, H, sigma: float, *, eig=None) -> StepResult:
+def _leftmost(w: Array, lam1: float) -> Array:
+    """Mask of the leftmost eigenspace of the ascending eigenvalues w."""
+    return w - lam1 <= 1e-12 * max(1.0, abs(lam1))
+
+
+def _leftmost_norm(w: Array, ghat: Array, lam1: float) -> float:
+    """vnorm(ghat[_leftmost(w, lam1)]), bit for bit, without the mask when the
+    leftmost eigenvalue is simple.  w ascends and fl(w_i - lam1) is monotone
+    in w_i, so when w_1 is past the threshold the mask is {0}, and the norm
+    of that one entry is sqrt(ghat_0^2) (not |ghat_0|, which differs where
+    the square underflows or overflows)."""
+    if w.size == 1 or w.item(1) - lam1 > 1e-12 * max(1.0, abs(lam1)):
+        g0 = ghat.item(0)
+        return math.sqrt(g0 * g0)
+    return vnorm(ghat[_leftmost(w, lam1)])
+
+
+def solve_p2(g, H, sigma: float, *, eig=None, gnorm: float | None = None) -> StepResult:
     """Global minimizer of g.s + 0.5 s.H.s + sigma/6 ||s||^3.
 
     The multiplier is the root of the secular equation to within a few ulps;
@@ -130,14 +152,18 @@ def solve_p2(g, H, sigma: float, *, eig=None) -> StepResult:
     float64.  Without ``eig`` H is checked, symmetrized and factorized here;
     ``eig = eigh(H)`` skips all three, bit for bit the same, for an H the
     caller vouches is finite, exactly symmetric and of g's size (a
-    DerivativeBundle's Hessian that finite_grad_norm has passed).
+    DerivativeBundle's Hessian that finite_grad_norm has passed).  Likewise
+    ``gnorm = ||g||`` skips the check of g, for a g the caller vouches is a
+    finite float64 vector of that norm (that bundle's gradient, whose
+    finite_grad_norm it is).  sigma is checked either way.
     """
-    g = np.asarray(g, dtype=float)
-    if g.ndim == 0:
-        g = g.reshape(1)
-    gnorm = vnorm(g)  # as in solve_p1
-    if not (gnorm < math.inf or all_finite(g)):
-        raise ValueError("derivatives must be finite")
+    if gnorm is None:
+        g = np.asarray(g, dtype=float)
+        if g.ndim == 0:
+            g = g.reshape(1)
+        gnorm = vnorm(g)  # as in solve_p1
+        if not (gnorm < math.inf or all_finite(g)):
+            raise ValueError("derivatives must be finite")
     if not (sigma > 0.0) or not math.isfinite(sigma):
         raise ValueError(f"sigma must be positive and finite, got {sigma}")
 
@@ -164,10 +190,9 @@ def solve_p2(g, H, sigma: float, *, eig=None) -> StepResult:
         hard = True
     elif lam1 < 0.0 and float(w[-1]) - lam1 == math.inf:
         lam = math.inf  # w - lam1 would overflow: raised below
-    elif lam1 < 0.0 and (vnorm(ghat[leftmost := w - lam1 <= 1e-12 * max(1.0, abs(lam1))])
-                         <= _HARD_CASE_RTOL * gnorm):
+    elif lam1 < 0.0 and _leftmost_norm(w, ghat, lam1) <= _HARD_CASE_RTOL * gnorm:
         # Gradient numerically orthogonal to the leftmost eigenspace.
-        mask = ~leftmost
+        mask = ~_leftmost(w, lam1)
         lam = lam_low
         coef = np.zeros_like(ghat)
         coef[mask] = -ghat[mask] / (w[mask] + lam)

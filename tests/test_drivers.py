@@ -302,14 +302,34 @@ class _CountingMatrix(np.ndarray):
         return getattr(ufunc, method)(*inputs, **kwargs)
 
 
+def twin_well_oracle(x0):
+    """sum_i x_i^4/4 - x_i^2/2 in two variables: from equal coordinates the
+    iterates keep them equal, so each Hessian is a multiple of I, whose
+    smallest eigenvalue is repeated (and negative while |x_i| < 1/sqrt(3))."""
+    def ev(x, degree):
+        f = float(np.sum(x**4 / 4.0 - x**2 / 2.0))
+        return DerivativeBundle(x**3 - x, np.diag(3.0 * x**2 - 1.0), f)
+
+    return ProblemOracle("twin-well", 2, np.asarray(x0, dtype=float), ev, ProblemMeta())
+
+
 class TestModelEvaluations:
     """Each p = 2 iteration evaluates the model at its step once: one H @ s,
-    in model_terms, and four vector norms (||g|| at the point, in
-    finite_grad_norm and again in solve_p2, then ||s|| and ||g + H s||), plus
-    solve_p2's check of the leftmost eigenspace where H has a negative
-    eigenvalue."""
+    in model_terms, and three vector norms (||g|| at the point, in
+    finite_grad_norm, which the driver hands solve_p2 as gnorm, then ||s||
+    and ||g + H s||), plus solve_p2's norm over the leftmost eigenspace where
+    H's smallest eigenvalue is negative and repeated; for a simple one that
+    norm is taken from one entry, without vnorm.  An offar1 iteration takes
+    three norms too: ||g|| in finite_grad_norm, and ||g|| and ||s|| in
+    model_terms.  The terminal point adds one ||g||."""
 
-    def run_counted(self, monkeypatch, driver, config):
+    @staticmethod
+    def repeated_leftmost(w):
+        """A negative smallest eigenvalue that solve_p2 counts as repeated."""
+        lam1 = float(w[0])
+        return lam1 < 0.0 and w.size > 1 and w[1] - lam1 <= 1e-12 * max(1.0, -lam1)
+
+    def run_counted(self, monkeypatch, driver, config, problem=None):
         counts = {"vnorm": 0, "H @ s": 0}
         monkeypatch.setattr(_CountingMatrix, "counts", counts, raising=False)
         # vnorm wherever the library looks it up.
@@ -319,38 +339,65 @@ class TestModelEvaluations:
                     counts["vnorm"] += 1
                     return _original(v)
                 monkeypatch.setattr(module, "vnorm", counting)
-        problem = get_problem("rosenbr")
+        repeated = []
+        solve = solvers.solve_p2
+
+        def recording_solve(*args, eig, **kwargs):
+            repeated.append(self.repeated_leftmost(eig[0]))
+            return solve(*args, eig=eig, **kwargs)
+
+        monkeypatch.setattr(solvers, "solve_p2", recording_solve)
+        problem = problem or get_problem("rosenbr")
         evaluate = problem.evaluator
 
         def evaluator(x, degree):
             bundle = evaluate(x, degree)
-            bundle.hessian = bundle.hessian.view(_CountingMatrix)
+            if bundle.hessian is not None:
+                bundle.hessian = bundle.hessian.view(_CountingMatrix)
             return bundle
 
         out = driver(dataclasses.replace(problem, evaluator=evaluator), config)
-        negative = int(np.count_nonzero(out.trace.column("min_eig")[:-1] < 0.0))
-        return out, counts, negative
+        assert len(repeated) == (0 if getattr(config, "degree", 2) == 1 else out.iterations)
+        return out, counts, sum(repeated)
+
+    def test_offar1(self, monkeypatch):
+        out, counts, _ = self.run_counted(
+            monkeypatch, run_offar, OffoConfig(degree=1, eps1=1e-6, max_iter=500))
+        k = out.iterations
+        assert k == 500
+        assert counts == {"vnorm": 3 * k + 1, "H @ s": 0}
 
     def test_offar2a(self, monkeypatch):
-        out, counts, negative = self.run_counted(
+        out, counts, repeated = self.run_counted(
             monkeypatch, run_offar, OffoConfig(degree=2, eps1=1e-6))
         k = out.iterations
         assert out.status == RunStatus.FIRST_ORDER and k > 0
-        assert counts == {"vnorm": 4 * k + 1 + negative, "H @ s": k}
+        # rosenbr's Hessian has distinct eigenvalues, negative ones included.
+        assert repeated == 0
+        assert np.any(out.trace.column("min_eig")[:-1] < 0.0)
+        assert counts == {"vnorm": 3 * k + 1, "H @ s": k}
+
+    def test_offar2a_repeated_leftmost(self, monkeypatch):
+        out, counts, repeated = self.run_counted(
+            monkeypatch, run_offar, OffoConfig(degree=2, eps1=1e-6),
+            twin_well_oracle([0.3, 0.3]))
+        k = out.iterations
+        assert out.status == RunStatus.FIRST_ORDER and 0 < repeated < k
+        assert counts == {"vnorm": 3 * k + 1 + repeated, "H @ s": k}
 
     def test_moffar2(self, monkeypatch):
-        out, counts, negative = self.run_counted(
+        out, counts, repeated = self.run_counted(
             monkeypatch, run_moffar, OffoConfig(degree=2, eps1=1e-6, eps2=1e-6))
         k = out.iterations
         assert out.status == RunStatus.SECOND_ORDER and k > 0
-        assert counts == {"vnorm": 4 * k + 1 + negative, "H @ s": k}
+        assert counts == {"vnorm": 3 * k + 1 + repeated, "H @ s": k}
 
     def test_ar2(self, monkeypatch):
         # One evaluation, hence one ||g||, per trial point instead of per point.
-        out, counts, negative = self.run_counted(monkeypatch, run_ar2, Ar2Config(eps1=1e-6))
+        out, counts, repeated = self.run_counted(monkeypatch, run_ar2, Ar2Config(eps1=1e-6))
         k = out.iterations
         assert out.status == RunStatus.FIRST_ORDER and k > 0
-        assert counts == {"vnorm": 4 * k + 1 + negative, "H @ s": k}
+        assert counts == {"vnorm": 3 * k + 1 + repeated, "H @ s": k}
 
 
 class TestTracedModelTerms:

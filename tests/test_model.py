@@ -131,6 +131,15 @@ class TestRegularizedModel:
         with pytest.raises(ValueError):
             RegularizedModel(self.bundle(), 0.0, 2)
 
+    @pytest.mark.parametrize("sigma", [2.5, 3, np.float64(1e-3)])
+    def test_unchecked_model_is_the_constructors(self, sigma):
+        bundle = self.bundle()
+        for degree in (1, 2):
+            checked = RegularizedModel(bundle, sigma, degree)
+            unchecked = RegularizedModel._of_checked(bundle, sigma, degree)
+            assert type(unchecked) is RegularizedModel and unchecked == checked
+            assert type(unchecked.sigma) is float
+
     def test_taylor_decrease_quadratic(self):
         # -(g.s + 0.5 s.H.s) with s = (1, 1): -(1 - 2 + 0.5*(2 + 4)) = -2
         m = RegularizedModel(self.bundle(), 1.0, 2)

@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 from offar import (SUITE_NAMES, DerivativeBundle, RegularizedModel, StepResult, certify,
                    get_problem, model_terms, solve_p1, solve_p2)
 from offar.model import eigh, vnorm
-from offar.subsolver import _CERTIFY_RTOL, _HARD_CASE_RTOL, _secular_root
+from offar.subsolver import _CERTIFY_RTOL, _HARD_CASE_RTOL, _leftmost_norm, _secular_root
 
 
 @functools.lru_cache(maxsize=1)
@@ -211,6 +211,12 @@ class TestSolveP2Examples:
             solve_p2(np.array([1.0, 1.0]), H, 1e300)
 
 
+def same_result(a, b):
+    """StepResults equal field by field, byte for byte."""
+    return all(np.asarray(getattr(a, f.name)).tobytes() == np.asarray(getattr(b, f.name)).tobytes()
+               for f in fields(StepResult))
+
+
 def scaled_p2_instances():
     """200 seeded (g, H, sigma) with n = 1..7 and entries and sigma over
     1e-3..1e3; every fourth is a hard case (g[0] = 0, H's first row and
@@ -372,11 +378,7 @@ class TestSecularRootReference:
             H = (Q * w) @ Q.T
             H = 0.5 * (H + H.T)
             g = Q @ ghat
-            own = solve_p2(g, H, sigma)
-            given = solve_p2(g, H, sigma, eig=np.linalg.eigh(H))
-            for f in fields(StepResult):
-                a, b = getattr(own, f.name), getattr(given, f.name)
-                assert np.asarray(a).tobytes() == np.asarray(b).tobytes(), f.name
+            assert same_result(solve_p2(g, H, sigma), solve_p2(g, H, sigma, eig=np.linalg.eigh(H)))
 
     def test_masked_hard_case_calls(self):
         # The call solve_p2 makes when g is orthogonal to the leftmost
@@ -416,6 +418,144 @@ class TestSecularRootReference:
         # turns into its OverflowError.
         assert _secular_root(np.array([1.0, 3.0]), np.array([1.0, math.inf]),
                              1e300, 0.0) == math.inf
+
+
+def masked_leftmost_norm(w, ghat, lam1):
+    """The norm of ghat over the leftmost eigenspace, through the mask."""
+    return vnorm(ghat[w - lam1 <= 1e-12 * max(1.0, abs(lam1))])
+
+
+def screen_inputs():
+    """Seeded (w, ghat) from eigh of symmetric matrices, n = 1..7, with a
+    simple or a repeated (exactly, or to within the threshold) negative
+    smallest eigenvalue, and ghat_0 at, below and above _HARD_CASE_RTOL
+    ||ghat||."""
+    rng = np.random.default_rng(2027)
+    for k in range(600):
+        n = int(rng.integers(1, 8))
+        w = np.sort(rng.standard_normal(n) * 10.0 ** rng.uniform(-3.0, 3.0))
+        w[0] = -abs(w[0]) - 1e-3
+        if n > 1 and k % 3 == 1:
+            w[1] = w[0]
+        elif n > 1 and k % 3 == 2:
+            w[1] = w[0] * (1.0 - 1e-13)
+        w.sort()
+        Q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+        H = (Q * w) @ Q.T
+        ew, eQ = eigh(0.5 * H + 0.5 * H.T)
+        ghat = rng.standard_normal(n) * 10.0 ** rng.uniform(-8.0, 8.0)
+        ghat[0] = vnorm(ghat) * _HARD_CASE_RTOL * 10.0 ** rng.uniform(-1.0, 1.0)
+        yield ew, ghat
+
+
+class TestHardCaseScreen:
+    """solve_p2 takes ghat's norm over the leftmost eigenspace from one entry
+    when the smallest eigenvalue is simple; the norm, and with it the hard
+    case decision, must be the masked norm's, bit for bit."""
+
+    @staticmethod
+    def assert_same(w, ghat):
+        lam1 = float(w[0])
+        got, want = _leftmost_norm(w, ghat, lam1), masked_leftmost_norm(w, ghat, lam1)
+        assert np.float64(got).tobytes() == np.float64(want).tobytes(), (w, ghat)
+        limit = _HARD_CASE_RTOL * vnorm(ghat)
+        assert (got <= limit) == (want <= limit)
+        return want <= limit
+
+    def test_seeded_symmetric_matrices(self):
+        decisions = [self.assert_same(w, ghat) for w, ghat in screen_inputs()]
+        assert 0 < sum(decisions) < len(decisions)
+
+    @pytest.mark.parametrize("lam1", [-1.0, -0.5, -3e7, -(2.0**-60)])
+    def test_threshold_of_a_repeated_eigenvalue(self, lam1):
+        # w_1 a few ulps either side of lam1 + 1e-12 max(1, |lam1|): counted
+        # in the leftmost eigenspace up to the threshold, not past it.  At
+        # lam1 = -2^-60 the sum is exact, so w_1 - lam1 meets it with equality.
+        edge = lam1 + 1e-12 * max(1.0, abs(lam1))
+        ghat = np.array([3e-13, 0.5, 1.0])
+        for k in range(-3, 4):
+            w = np.array([lam1, _ulps_away(edge, k), 2.0])
+            self.assert_same(w, ghat)
+
+    @np.errstate(over="ignore")
+    def test_one_dimension(self):
+        for w0 in (-1.0, -1e-300, -1e300):
+            for g0 in (1.0, 0.0, -0.0, 1e-170, 1e200):
+                self.assert_same(np.array([w0]), np.array([g0]))
+
+    def test_straddling_the_relative_threshold(self):
+        w = np.array([-2.0, 1.0, 4.0])
+        rest = np.array([0.0, 3.0, -4.0])
+        edge = _HARD_CASE_RTOL * vnorm(rest)
+        sides = set()
+        for k in range(-3, 4):
+            ghat = rest.copy()
+            ghat[0] = _ulps_away(edge, k)
+            sides.add(self.assert_same(w, ghat))
+        assert sides == {True, False}
+
+    @pytest.mark.parametrize("g0", [1e-170, -3e-162, 5e-324, 1e200])
+    @np.errstate(over="ignore")
+    def test_square_underflows_or_overflows(self, g0):
+        # sqrt(g0^2), which the mask's norm gives, is not |g0| here.
+        assert math.sqrt(g0 * g0) != abs(g0)
+        for w in (np.array([-1.0, 2.0]), np.array([-1.0, -1.0, 2.0])):
+            ghat = np.full(w.size, 1e-300)
+            ghat[0] = g0
+            self.assert_same(w, ghat)
+
+
+def suite_points():
+    """Each suite problem's bundle at its start and at two later points."""
+    for name in SUITE_NAMES:
+        problem = get_problem(name)
+        x = problem.x0
+        for _ in range(3):
+            bundle = problem.evaluate(x)
+            yield bundle
+            x = x + solve_p2(bundle.gradient, bundle.hessian, 1.0).step
+
+
+class TestVouchedInputs:
+    """With the gradient's norm (and the Hessian's eigh) from the caller,
+    solve_p1 and solve_p2 return the public path's result, byte for byte."""
+
+    def bundles(self):
+        for g, A, _ in scaled_p2_instances():
+            yield DerivativeBundle(g, A)
+        yield from suite_points()
+
+    def test_same_results(self):
+        count = hard = 0
+        for bundle in self.bundles():
+            g, H = bundle.gradient, bundle.hessian
+            gnorm = bundle.finite_grad_norm()
+            assert gnorm < math.inf
+            eig = eigh(H)
+            for sigma in (1e-3, 1.0, 1e3):
+                own = solve_p2(g, H, sigma)
+                assert same_result(solve_p2(g, H, sigma, gnorm=gnorm), own)
+                assert same_result(solve_p2(g, H, sigma, eig=eig, gnorm=gnorm), own)
+                if gnorm > 0.0:  # solve_p1 rejects a zero gradient either way
+                    assert same_result(solve_p1(g, sigma, gnorm=gnorm), solve_p1(g, sigma))
+                count += 1
+                hard += own.hard_case
+        assert count == 3 * (200 + 3 * len(SUITE_NAMES)) and hard > 0
+
+    def test_sigma_still_checked(self):
+        g, H = np.array([1.0, 2.0]), np.eye(2)
+        for sigma in (0.0, -1.0, math.inf, math.nan):
+            with pytest.raises(ValueError, match="sigma"):
+                solve_p1(g, sigma, gnorm=vnorm(g))
+            with pytest.raises(ValueError, match="sigma"):
+                solve_p2(g, H, sigma, eig=eigh(H), gnorm=vnorm(g))
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflowing_eigenvalue_spread_raises(self):
+        H = np.array([[2.0**1023, 2.0**1023], [2.0**1023, -1.0]])
+        g = np.array([1.0, 1.0])
+        with pytest.raises(OverflowError, match="not finite"):
+            solve_p2(g, H, 1e300, eig=eigh(H), gnorm=vnorm(g))
 
 
 @st.composite
