@@ -1,7 +1,8 @@
 """Command line front end.
 
 Exit codes: 0 run converged, 1 usage error, 2 iteration budget exhausted,
-3 oracle overflow (non-finite derivatives, or a gradient norm beyond float64).
+3 oracle overflow (non-finite derivatives, or a gradient norm beyond float64),
+4 ar2 rejected a step with its regularization weight at the cap.
 """
 
 from __future__ import annotations
@@ -93,6 +94,7 @@ _STATUS_CODES = {
     RunStatus.SECOND_ORDER: 0,
     RunStatus.MAX_ITERATIONS: 2,
     RunStatus.ORACLE_OVERFLOW: 3,
+    RunStatus.SIGMA_CAP: 4,
 }
 
 

@@ -68,24 +68,12 @@ class ProblemOracle:
     evaluator: Callable[[Array, int], DerivativeBundle]
     meta: ProblemMeta = field(default_factory=ProblemMeta)
     safe_box: tuple[Array, Array] | None = None
-    # add_noise's wrapper, which evaluator calls, directly or through a shim.
-    noise: _NoisyEvaluator | None = None
 
     def evaluate(self, x, degree: int = 2) -> DerivativeBundle:
         x = np.asarray(x, dtype=float)
         if x.shape != (self.n,):
             raise ValueError(f"{self.name}: expected shape ({self.n},), got {x.shape}")
         return self.evaluator(x, degree)
-
-    def peek(self, x: Array, m: int) -> Array | None:
-        """The f of the next m evaluations at x read ahead, or None: only a
-        noisy oracle can, and it reaches its wrapper through .noise, so that
-        wrapping .evaluator (a timing shim, say) changes neither this nor skip."""
-        return None if self.noise is None else self.noise.peek(x, m)
-
-    def skip(self, j: int) -> None:
-        """Spend the noise of j evaluations, as peeked."""
-        self.noise.skip(j)
 
 
 def _bundle(fn):
@@ -643,8 +631,7 @@ class _NoisyEvaluator:
     """Noise for one wrapped oracle, drawn from its own default_rng(spec.seed):
     each evaluation passes its degree to the inner evaluator, takes the
     stream's next consecutive factors 1 + level z for what comes back,
-    computed _BATCH normals at a time, and spends them in NoiseSpec's order.
-    peek always reads ahead as for degree 2."""
+    computed _BATCH normals at a time, and spends them in NoiseSpec's order."""
 
     def __init__(self, inner, spec: NoiseSpec):
         self.inner = inner
@@ -652,7 +639,6 @@ class _NoisyEvaluator:
         self.rng = np.random.default_rng(spec.seed)
         self._factors = np.empty(0)
         self._used = 0
-        self._size = 0  # factors one evaluation takes, as of the last peek
 
     def _next_factors(self, size: int) -> Array:
         i = self._used
@@ -681,29 +667,6 @@ class _NoisyEvaluator:
             H = H * fac[noise_f + n :].take(_mirror(n)) + 0.0
         return DerivativeBundle._of_symmetric(g, H, f)
 
-    def peek(self, x: Array, m: int) -> Array | None:
-        """The noisy f of the next m evaluations at x, their factors unspent;
-        None unless f is noised, H present, and a bound 1e8 below DBL_MAX shows
-        each evaluation's f, gradient norm and Hessian finite, however they round."""
-        bundle = self.inner(x, 2)
-        f, g, H = bundle.fvalue, bundle.gradient, bundle.hessian
-        if not self.spec.fvalue or f is None or H is None:
-            return None
-        size = 1 + g.size * (g.size + 3) // 2  # f, g, H's upper triangle
-        fac = self._next_factors(m * size).reshape(m, size)
-        self._used -= m * size  # read, not spent
-        top = float(np.abs(fac).max())
-        gtop = float(np.abs(g).max()) * top
-        if not (abs(f) * top < 1e300 and g.size * (gtop * gtop) < 1e300
-                and float(np.abs(H).max()) * top < 1e300):
-            return None
-        self._size = size
-        return f * fac[:, 0]
-
-    def skip(self, j: int) -> None:
-        """Spend the factors of j evaluations, as peeked."""
-        self._used += j * self._size
-
 
 def add_noise(oracle: ProblemOracle, spec: NoiseSpec) -> ProblemOracle:
     """A copy of the oracle whose evaluations are noised from a private
@@ -711,8 +674,7 @@ def add_noise(oracle: ProblemOracle, spec: NoiseSpec) -> ProblemOracle:
     x0 = oracle.x0.copy()
     if spec.level == 0.0:
         return replace(oracle, x0=x0)
-    noise = _NoisyEvaluator(oracle.evaluator, spec)
-    return replace(oracle, x0=x0, evaluator=noise, noise=noise)
+    return replace(oracle, x0=x0, evaluator=_NoisyEvaluator(oracle.evaluator, spec))
 
 
 @dataclass

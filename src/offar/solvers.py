@@ -39,6 +39,7 @@ class RunStatus(str, Enum):
     SECOND_ORDER = "SecondOrderPoint"
     MAX_ITERATIONS = "MaxIterations"
     ORACLE_OVERFLOW = "OracleOverflow"
+    SIGMA_CAP = "SigmaCap"  # ar2 rejected a trial with sigma at its cap
 
 
 class CertificateError(RuntimeError):
@@ -100,16 +101,14 @@ _SIGMA_FALL = 0.5
 
 # AR2's accept/reject constants (Cartis, Gould & Toint 2011, ARC Part I): a
 # trial is accepted at rho >= _ETA1; at rho >= _ETA2 sigma shrinks by _GAMMA2,
-# not below _SIGMA_MIN; a rejection grows it by _GAMMA1, up to _GAMMA3.
+# not below _SIGMA_MIN; a rejection grows it by _GAMMA1, up to _GAMMA3, and a
+# rejection at _GAMMA3 ends the run (Cartis, Gould & Toint set no cap).
 _ETA1 = 1e-4
 _ETA2 = 0.95
 _GAMMA1 = 2.0
 _GAMMA2 = 0.5
 _GAMMA3 = 1e20
 _SIGMA_MIN = 1e-4
-
-# Retries at the _GAMMA3 cap that run_ar2 screens in one numpy pass.
-_AHEAD = 256
 
 
 @dataclass
@@ -281,8 +280,8 @@ def _run_offo(problem, config: OffoConfig, *, second_order: bool) -> RunOutcome:
             raise CertificateError(
                 f"step conditions failed at iteration {k} (sigma={sigma!r})")
         reduction, tgrad_norm, snorm = terms
-        if p == 1:  # the closed forms at -g/sigma; m(s) recomputed differs in the last bits
-            reduction, tgrad_norm = gnorm**2 / (2.0 * sigma), gnorm
+        if p == 1:  # m(0) - m(s) in closed form at -g/sigma; model_terms' differs in the last bits
+            reduction = gnorm**2 / (2.0 * sigma)
 
         trace.append(
             k=k, grad_norm=gnorm, sigma=sigma, nu=state.nu, mu1=state.mu1,
@@ -313,11 +312,10 @@ def run_ar2(problem, config: Ar2Config) -> RunOutcome:
 
     Rejected iterations still count; the trace records the ratio rho and the
     accept flag per iteration.  Each loop pass solves at the current
-    (x, sigma).  At the _GAMMA3 cap a rejection changes neither, so a retry
-    only reads one more (noisy) f at the same trial point.  There
-    problem.peek reads the f of up to _AHEAD retries ahead: the leading
-    rejections become rows at once, problem.skip spends their noise, and the
-    next retry runs as usual; one solve covers the whole screened block.
+    (x, sigma).  At the _GAMMA3 cap a rejection changes neither, so the run
+    could only re-read f at the same trial point: the first rejection there
+    ends it as SigmaCap, a failure, with x and sigma = _GAMMA3 in its
+    terminal row.
     """
     trace = _new_trace(problem, "ar2", config)
 
@@ -339,21 +337,6 @@ def run_ar2(problem, config: Ar2Config) -> RunOutcome:
         if not (value < 0.0 and decrease > 0.0):
             raise CertificateError(f"degenerate subproblem solution at iteration {k}")
         trial_x = x + step.step
-        row = dict(grad_norm=gnorm, sigma=sigma, step_norm=snorm, model_reduction=-value,
-                   min_eig=min_eig, taylor_grad_norm=tgrad_norm, fvalue=bundle.fvalue)
-        m = min(_AHEAD, config.max_iter - k)
-        ahead = problem.peek(trial_x, m) if sigma == _GAMMA3 else None
-        if ahead is not None:
-            rho = (bundle.fvalue - ahead) / decrease
-            taken = np.flatnonzero(rho >= _ETA1)
-            j = int(taken[0]) if taken.size else m
-            if j:
-                trace.append(k=k, rho=rho[0], accepted=0.0, **row)
-                trace.repeat_last(rho[1:j].tolist())
-                k += j
-            problem.skip(j)
-            if j == m:
-                continue
         trial = problem.evaluate(trial_x)
         trial_gnorm = trial.finite_grad_norm()
         overflow = (trial.fvalue is None or not math.isfinite(trial.fvalue)
@@ -361,7 +344,9 @@ def run_ar2(problem, config: Ar2Config) -> RunOutcome:
         rho = math.nan if overflow else (bundle.fvalue - trial.fvalue) / decrease
         accepted = rho >= _ETA1
 
-        trace.append(k=k, rho=rho, accepted=math.nan if overflow else float(accepted), **row)
+        trace.append(k=k, grad_norm=gnorm, sigma=sigma, step_norm=snorm, model_reduction=-value,
+                     min_eig=min_eig, taylor_grad_norm=tgrad_norm, fvalue=bundle.fvalue,
+                     rho=rho, accepted=math.nan if overflow else float(accepted))
         k += 1
         if overflow:
             return _finish(trace, RunStatus.ORACLE_OVERFLOW, x, math.nan, k, min_eig,
@@ -374,6 +359,9 @@ def run_ar2(problem, config: Ar2Config) -> RunOutcome:
             eig, min_eig = _factorize(bundle)
             if rho >= _ETA2:
                 sigma = max(_SIGMA_MIN, _GAMMA2 * sigma)
+        elif sigma == _GAMMA3:
+            return _finish(trace, RunStatus.SIGMA_CAP, x, gnorm, k, min_eig, sigma=sigma,
+                           fvalue=bundle.fvalue)
         else:
             sigma = min(_GAMMA1 * sigma, _GAMMA3)
 

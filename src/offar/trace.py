@@ -34,7 +34,6 @@ COLUMNS = (
     "accepted",
 )
 _INDEX = {name: i for i, name in enumerate(COLUMNS)}
-_RHO = _INDEX["rho"]
 _NAN_ROW = [math.nan] * len(COLUMNS)
 
 
@@ -57,15 +56,6 @@ class RunTrace:
             unknown = sorted(values.keys() - _INDEX.keys())
             raise ValueError(f"unknown trace columns: {unknown}") from None
         self.rows.append(row)
-
-    def repeat_last(self, rhos) -> None:
-        """Append one copy of the last row per rho, with k counting on and rho
-        replaced: the rows append would build, without its keyword pass."""
-        last = self.rows[-1]
-        for k, rho in enumerate(rhos, start=int(last[0]) + 1):
-            row = last.copy()
-            row[0], row[_RHO] = float(k), float(rho)
-            self.rows.append(row)
 
     def __len__(self) -> int:
         return len(self.rows)

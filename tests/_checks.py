@@ -84,10 +84,9 @@ def _terms_violations(k, traced, bundle, sigma, p):
 def check_ar2_terms(outcome, points):
     """check_offo_invariants' bitwise model-terms check for an ar2 run.
 
-    points is recording()'s list: x_0 and one trial point per iteration, which
-    holds while no retry is screened at the sigma cap.  Row k's bundle is the
-    last accepted point's, and the step solved there must reach row k's trial
-    point exactly.
+    points is recording()'s list: x_0 and one trial point per iteration.  Row
+    k's bundle is the last accepted point's, and the step solved there must
+    reach row k's trial point exactly.
     """
     K = outcome.iterations
     if len(points) != K + 1:

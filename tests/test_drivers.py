@@ -10,7 +10,7 @@ import pytest
 from _checks import check_ar2_terms, check_offo_invariants, recording
 from offar import (SUITE_NAMES, Ar2Config, DerivativeBundle, NoiseSpec, OffoConfig,
                    ProblemMeta, ProblemOracle, RunStatus, add_noise, get_problem, model,
-                   run_ar2, run_moffar, run_offar, run_single, solve_p2, solvers,
+                   run_ar2, run_moffar, run_offar, run_single, solvers,
                    subsolver)
 from offar.trace import COLUMNS, RunTrace
 
@@ -425,14 +425,12 @@ class TestTracedModelTerms:
 
     @pytest.mark.parametrize("algorithm", ["offar2a", "ar2"])
     def test_noisy(self, algorithm):
-        # A plain ProblemOracle around the noise wrapper cannot peek, so ar2
-        # evaluates, and recording records, every retry at its sigma cap too.
         oracle = get_problem("rosenbr")
         noisy = add_noise(oracle, NoiseSpec(0.25, 2, fvalue=algorithm == "ar2"))
-        po, points = recording(ProblemOracle(oracle.name, oracle.n, noisy.x0, noisy.evaluator))
+        po, points = recording(noisy)
         if algorithm == "ar2":
             out = run_ar2(po, Ar2Config(eps1=1e-3, max_iter=700))
-            assert out.trace.column("sigma")[-2] == solvers._GAMMA3
+            assert out.status == RunStatus.SIGMA_CAP
             assert check_ar2_terms(out, points) == []
         else:
             cfg = OffoConfig(degree=2, eps1=1e-3, max_iter=2000)
@@ -490,18 +488,23 @@ class TestAr2:
 
     def test_rejection_cap(self):
         # oracle whose function value always climbs: every step is rejected,
-        # sigma doubles until the 1e20 ceiling
+        # sigma doubles from 1 until the 1e20 ceiling, reached at iteration
+        # 67 since 2**67 > 1e20, and the rejection there ends the run
         def ev(x, degree):
             f = 1.0 if np.all(x == 0.0) else 2.0
             return DerivativeBundle(np.array([1.0, 0.0]), np.eye(2), f)
 
         po = ProblemOracle("liar", 2, np.zeros(2), ev, ProblemMeta())
         out = run_ar2(po, Ar2Config(eps1=1e-8, max_iter=75))
-        assert out.status == RunStatus.MAX_ITERATIONS
+        assert (out.status, out.iterations) == (RunStatus.SIGMA_CAP, 68)
         np.testing.assert_array_equal(out.final_x, np.zeros(2))
-        acc = out.trace.column("accepted")
+        acc, sigma = out.trace.column("accepted"), out.trace.column("sigma")
         assert np.all(acc[:-1] == 0.0)
-        assert out.trace.column("sigma")[-1] == pytest.approx(1e20)
+        assert sigma[-3] == 2.0**66 and sigma[-2] == sigma[-1] == solvers._GAMMA3
+        # The budget still ends a run that stops short of that rejection.
+        for max_iter, status in ((67, RunStatus.MAX_ITERATIONS), (68, RunStatus.SIGMA_CAP)):
+            out = run_ar2(po, Ar2Config(eps1=1e-8, max_iter=max_iter))
+            assert (out.status, out.iterations) == (status, max_iter)
 
     def test_overflow_on_trial(self):
         def ev(x, degree):
@@ -529,103 +532,3 @@ class TestAr2:
         out = run_ar2(po, Ar2Config(eps1=1e-10))
         rho = out.trace.column("rho")
         assert np.all(rho[:-1] > 0.99)  # quadratic: predicted = actual decrease
-
-
-class TestAr2Screen:
-    """At the sigma cap, ar2 screens blocks of noisy retries through the
-    oracle's peek and skip.  A plain ProblemOracle around the same noise
-    wrapper cannot peek, so ar2 evaluates each retry; both runs must match."""
-
-    @staticmethod
-    def both(oracle, spec, config, shim=False):
-        """The screened and the plain run, after checking they are the same
-        bytes, and how many evaluations the screen skipped.  With shim, the
-        screened oracle's evaluator is wrapped as a timing shim would be."""
-        noisy = add_noise(oracle, spec)
-        if shim:
-            wrapper = noisy.evaluator
-            noisy.evaluator = lambda x, degree: wrapper(x, degree)
-        skipped, skip = [], noisy.skip
-        noisy.skip = lambda j: (skipped.append(j), skip(j))
-        screened = run_ar2(noisy, config)
-        plain = run_ar2(ProblemOracle(oracle.name, oracle.n, oracle.x0,
-                                      add_noise(oracle, spec).evaluator), config)
-        assert (screened.status, screened.iterations) == (plain.status, plain.iterations)
-        assert (np.array(screened.trace.rows).tobytes()
-                == np.array(plain.trace.rows).tobytes())
-        assert screened.final_x.tobytes() == plain.final_x.tobytes()
-        return screened, sum(skipped)
-
-    @staticmethod
-    def climber(f_trial, g_trial):
-        """f climbs from 1 at the start to f_trial everywhere else, so ar2
-        rejects every step and sigma stays at its cap once there."""
-        def ev(x, degree):
-            if not x.any():
-                return DerivativeBundle(np.array([1.0, 0.0]), np.eye(2), 1.0)
-            return DerivativeBundle(np.array(g_trial), np.eye(2), f_trial)
-
-        return ProblemOracle("climber", 2, np.zeros(2), ev, ProblemMeta())
-
-    @pytest.mark.parametrize("name, level, seed, max_iter", [
-        ("woods", 0.5, 3, 1000), ("woods", 0.5, 3, 555),
-        ("rosenbr", 0.25, 2, 700), ("helix", 0.25, 1, 1234),
-    ])
-    def test_suite_runs_end_inside_a_block(self, name, level, seed, max_iter):
-        out, skipped = self.both(get_problem(name), NoiseSpec(level, seed),
-                                 Ar2Config(eps1=1e-3, max_iter=max_iter))
-        assert out.status == RunStatus.MAX_ITERATIONS
-        sigma, accepted = out.trace.column("sigma"), out.trace.column("accepted")
-        assert sigma[-2] == solvers._GAMMA3 and accepted[-2] == 0.0
-        assert skipped > solvers._AHEAD
-        # Every one of these runs accepts a step at the cap.
-        assert np.any((sigma[:-1] == solvers._GAMMA3) & (accepted[:-1] == 1.0))
-
-    def test_screen_sees_through_a_shim(self):
-        # peek and skip reach the noise wrapper through .noise, not through
-        # .evaluator, so a shim around the evaluator leaves the screen on.
-        out, skipped = self.both(get_problem("woods"), NoiseSpec(0.5, 3),
-                                 Ar2Config(eps1=1e-3, max_iter=1000), shim=True)
-        assert out.status == RunStatus.MAX_ITERATIONS
-        assert skipped > solvers._AHEAD
-
-    def test_gradient_bound_declines(self):
-        # A trial gradient of 1e154 has a finite norm for most factors but not
-        # all, so the bound declines every block: each retry is evaluated
-        # until one overflows at the cap.
-        out, skipped = self.both(self.climber(2.0, [1e154, 0.0]), NoiseSpec(0.1, 3),
-                                 Ar2Config(eps1=1e-8, max_iter=20000))
-        assert (out.status, out.iterations, skipped) == (RunStatus.ORACLE_OVERFLOW, 772, 0)
-        assert out.trace.column("sigma")[-1] == solvers._GAMMA3
-
-    def test_noisy_f_overflows_at_the_cap(self):
-        out, skipped = self.both(self.climber(1e308, [1.0, 0.0]), NoiseSpec(0.25, 3),
-                                 Ar2Config(eps1=1e-8, max_iter=20000))
-        assert (out.status, out.iterations, skipped) == (RunStatus.ORACLE_OVERFLOW, 995, 0)
-        assert out.trace.column("sigma")[-1] == solvers._GAMMA3
-        assert math.isnan(out.trace.column("rho")[-2])
-
-    def test_screens_a_moderate_climber(self):
-        # The same climber with a moderate trial f and gradient: every retry
-        # at the cap is a rejection, so the screen takes them all.
-        out, skipped = self.both(self.climber(2.0, [1.0, 0.0]), NoiseSpec(0.1, 3),
-                                 Ar2Config(eps1=1e-8, max_iter=1000))
-        assert out.status == RunStatus.MAX_ITERATIONS
-        first = int(np.argmax(out.trace.column("sigma") == solvers._GAMMA3))
-        assert skipped == out.iterations - first
-
-    def test_one_solve_per_screened_block(self, monkeypatch):
-        # Past the cap each loop pass solves once and screens a block of up
-        # to _AHEAD retries; without the screen every retry would solve.
-        solves = []
-
-        def counting_solve_p2(*args, **kwargs):
-            solves.append(None)
-            return solve_p2(*args, **kwargs)
-
-        monkeypatch.setattr(solvers, "solve_p2", counting_solve_p2)
-        out = run_ar2(add_noise(self.climber(2.0, [1.0, 0.0]), NoiseSpec(0.1, 3)),
-                      Ar2Config(eps1=1e-8, max_iter=1000))
-        first = int(np.argmax(out.trace.column("sigma") == solvers._GAMMA3))
-        assert 0 < first < out.iterations == 1000
-        assert len(solves) <= first + math.ceil((out.iterations - first) / solvers._AHEAD)

@@ -219,6 +219,8 @@ class TestCli:
         assert _STATUS_CODES[RunStatus.SECOND_ORDER] == 0
         assert _STATUS_CODES[RunStatus.MAX_ITERATIONS] == 2
         assert _STATUS_CODES[RunStatus.ORACLE_OVERFLOW] == 3
+        assert _STATUS_CODES[RunStatus.SIGMA_CAP] == 4
+        assert set(_STATUS_CODES) == set(RunStatus)
 
     def test_list_problems(self, capsys):
         assert main(["list-problems"]) == 0
@@ -236,6 +238,12 @@ class TestCli:
                      "--max-iter", "1"])
         assert code == 2
         assert "status=MaxIterations" in capsys.readouterr().out
+
+    def test_run_sigma_cap(self, capsys):
+        code = main(["run", "--problem", "cube", "--alg", "ar2", "--noise", "0.25",
+                     "--seed", "1", "--max-iter", "300"])
+        assert code == 4
+        assert "status=SigmaCap iterations=77 " in capsys.readouterr().out
 
     def test_run_writes_trace(self, tmp_path, capsys):
         path = tmp_path / "t.csv"
