@@ -1,7 +1,7 @@
 """Derivative-only adaptive regularization solvers and their test batteries."""
 
 from .bounds import BoundReport, bounds_for_problem, theory_bounds
-from .model import DerivativeBundle, RegularizedModel, model_terms
+from .model import DerivativeBundle, model_terms
 from .harness import BenchResult, run_bench, run_single
 from .problems import (SUITE_NAMES, NoiseSpec, ProblemMeta, ProblemOracle,
                        add_noise, get_problem, make_suite,

@@ -1,16 +1,19 @@
-"""Regularized Taylor models of degree one and two.
+"""Derivatives at a point and the regularized Taylor models built from them.
 
 A solver iteration works on the local model
 
     m(s) = g.s [+ 0.5 s.H.s] + sigma/(p+1)! * ||s||^(p+1)
 
-built from a :class:`DerivativeBundle` at the current iterate.  The constant
-term f(x) is deliberately absent: the derivative-only solvers never see
-function values, and every consumer only compares model differences, so
-m(0) = 0 by construction.  :func:`model_terms` evaluates the model at a step:
-the Taylor decrease, m(s), the Taylor gradient's norm and ||s||, from one
-product H s.  It is the one place that does: certify and the drivers read
-these numbers from it.
+built from a :class:`DerivativeBundle` at the current iterate.  The bundle is
+where outside data comes in: its constructor checks shapes and symmetrizes
+H, and finite_grad_norm checks finiteness.  Everything downstream takes the
+bundle's gradient and Hessian as they are.  The constant term f(x) is
+deliberately absent: the derivative-only solvers never see function values,
+and every consumer only compares model differences, so m(0) = 0 by
+construction.  :func:`model_terms` evaluates the model at a step: the Taylor
+decrease, m(s), the Taylor gradient's norm and ||s||, from one product H s.
+It is the one place that does: certify and the drivers read these numbers
+from it.
 """
 
 from __future__ import annotations
@@ -127,51 +130,26 @@ class DerivativeBundle:
         return math.inf
 
 
-@dataclass
-class RegularizedModel:
-    """Degree-p Taylor model plus the sigma/(p+1)! ||s||^(p+1) term."""
-
-    bundle: DerivativeBundle
-    sigma: float
-    degree: int
-
-    def __post_init__(self):
-        self.sigma = float(self.sigma)
-        self.degree = int(self.degree)
-        if self.degree not in (1, 2):
-            raise ValueError(f"degree must be 1 or 2, got {self.degree}")
-        if not (self.sigma > 0.0) or not math.isfinite(self.sigma):
-            raise ValueError(f"sigma must be positive and finite, got {self.sigma}")
-        if self.degree == 2 and self.bundle.hessian is None:
-            raise ValueError("degree 2 model requires a hessian in the bundle")
-
-    @classmethod
-    def _of_checked(cls, bundle: DerivativeBundle, sigma: float,
-                    degree: int) -> RegularizedModel:
-        """The constructor's model, bit for bit, without its checks: for a
-        sigma that solve_p1 or solve_p2 has passed, a degree of 1 or 2 and,
-        at degree 2, a bundle with a Hessian."""
-        model = object.__new__(cls)
-        model.bundle, model.sigma, model.degree = bundle, float(sigma), degree
-        return model
-
-
-def model_terms(model: RegularizedModel, s) -> tuple[float, float, float, float]:
-    """(T(x,0) - T(x,s), m(s) - m(0), ||grad T(x,s)||, ||s||) from one check of
-    s, one ||s|| and, at degree 2, one product H s.  m(s) - m(0) < 0 iff s is
-    a descent step."""
-    g = model.bundle.gradient
+def model_terms(g: Array, H: Array | None, sigma: float,
+                s) -> tuple[float, float, float, float]:
+    """(T(x,0) - T(x,s), m(s) - m(0), ||grad T(x,s)||, ||s||) of the model
+    of a DerivativeBundle's gradient g and Hessian H (None: degree 1) from one
+    check of sigma and s, one ||s|| and, at degree 2, one product H s.
+    m(s) - m(0) < 0 iff s is a descent step."""
+    if not (sigma > 0.0) or not math.isfinite(sigma):
+        raise ValueError(f"sigma must be positive and finite, got {sigma}")
     s = _as_vector(s)
     if s.size != g.size:
         raise ValueError(f"step size {s.size} does not match dimension {g.size}")
-    p = model.degree
     val = float(g @ s)
-    if p == 2:
-        Hs = model.bundle.hessian @ s
+    if H is None:
+        p = 1
+        tgrad_norm = vnorm(g)
+    else:
+        p = 2
+        Hs = H @ s
         val += 0.5 * float(s @ Hs)
         tgrad_norm = vnorm(g + Hs)
-    else:
-        tgrad_norm = vnorm(g)
     snorm = vnorm(s)
-    reg = model.sigma / math.factorial(p + 1) * snorm ** (p + 1)
+    reg = sigma / math.factorial(p + 1) * snorm ** (p + 1)
     return -val, val + reg, tgrad_norm, snorm

@@ -27,7 +27,7 @@ from enum import Enum
 
 import numpy as np
 
-from .model import DerivativeBundle, RegularizedModel, eigh, model_terms
+from .model import DerivativeBundle, eigh, model_terms
 from .subsolver import certify, solve_p1, solve_p2
 from .trace import RunTrace
 
@@ -75,8 +75,8 @@ class OffoConfig:
             raise ValueError(f"eps2 must lie in (0, 1], got {self.eps2}")
         if self.max_iter < 0:
             raise ValueError(f"max_iter must be nonnegative, got {self.max_iter}")
-        if self.nu0 is not None and not self.nu0 > 0.0:
-            raise ValueError(f"nu0 must be positive, got {self.nu0}")
+        if self.nu0 is not None and not 0.0 < self.nu0 < math.inf:
+            raise ValueError(f"nu0 must be positive and finite, got {self.nu0}")
 
 
 # theta1 and theta2 of the step conditions (certify) and the mu updates.  The
@@ -122,8 +122,9 @@ class Ar2Config:
     def __post_init__(self):
         if not 0.0 < self.eps1 <= 1.0:
             raise ValueError(f"eps1 must lie in (0, 1], got {self.eps1}")
-        if not self.sigma0 >= _SIGMA_MIN:
-            raise ValueError(f"sigma0 must be at least {_SIGMA_MIN}, got {self.sigma0}")
+        # Above _GAMMA3 a rejection would lower sigma to the cap.
+        if not _SIGMA_MIN <= self.sigma0 <= _GAMMA3:
+            raise ValueError(f"sigma0 must lie in [{_SIGMA_MIN}, {_GAMMA3}], got {self.sigma0}")
         if self.max_iter < 0:
             raise ValueError(f"max_iter must be nonnegative, got {self.max_iter}")
 
@@ -268,14 +269,13 @@ def _run_offo(problem, config: OffoConfig, *, second_order: bool) -> RunOutcome:
             sigma = sigma_select(state, config)
         state.sigma = sigma
 
-        # gnorm vouches for the gradient, which finite_grad_norm has passed;
-        # the solve checks sigma, so the model is built unchecked after it.
         if p == 1:
-            step = solve_p1(bundle.gradient, sigma, gnorm=gnorm)
+            step = solve_p1(bundle.gradient, sigma, gnorm)
         else:
-            step = solve_p2(bundle.gradient, bundle.hessian, sigma, eig=eig, gnorm=gnorm)
-        model = RegularizedModel._of_checked(bundle, sigma, p)
-        terms = certify(step, model, _THETA1, _THETA2 if second_order else None, min_eig)
+            step = solve_p2(bundle.gradient, eig, sigma, gnorm)
+        # H = None makes the model degree 1, whatever else the evaluator returned.
+        terms = certify(step, bundle.gradient, bundle.hessian if p == 2 else None, sigma,
+                        _THETA1, _THETA2 if second_order else None, min_eig)
         if not terms:
             raise CertificateError(
                 f"step conditions failed at iteration {k} (sigma={sigma!r})")
@@ -331,9 +331,9 @@ def run_ar2(problem, config: Ar2Config) -> RunOutcome:
 
     k = 0
     while not gnorm <= config.eps1 and k < config.max_iter:
-        step = solve_p2(bundle.gradient, bundle.hessian, sigma, eig=eig, gnorm=gnorm)
+        step = solve_p2(bundle.gradient, eig, sigma, gnorm)
         decrease, value, tgrad_norm, snorm = model_terms(
-            RegularizedModel._of_checked(bundle, sigma, 2), step.step)
+            bundle.gradient, bundle.hessian, sigma, step.step)
         if not (value < 0.0 and decrease > 0.0):
             raise CertificateError(f"degenerate subproblem solution at iteration {k}")
         trial_x = x + step.step

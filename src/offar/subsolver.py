@@ -13,14 +13,12 @@ adds a leftmost eigenvector component whose sign is made deterministic by
 orienting the eigenvector.
 
 Problem dimensions are desk scale (n <= a few dozen), so the dense route is
-both exact and cheap.  The drivers factorize each Hessian once per point with
-model.eigh and pass it to solve_p2 as ``eig`` and, in moffar2, its smallest
-eigenvalue to certify as ``min_eig``.  They pass the gradient norm that
-DerivativeBundle.finite_grad_norm has just compared with inf as ``gnorm``,
-so solve_p1 and solve_p2 skip their own check of g.  Without ``eig`` and
-``gnorm`` every input is checked here.  The solvers return the step alone;
-certify evaluates the model there once, through model_terms, and hands the
-offo drivers the numbers they trace.
+both exact and cheap.  The inputs are a checked point: a DerivativeBundle's
+gradient g with its finite_grad_norm ``gnorm`` and ``eig = model.eigh(H)``
+of its Hessian, which the drivers compute once per point; moffar2 also hands
+certify the smallest eigenvalue as ``min_eig``.  Only sigma is checked here.
+The solvers return the step alone; certify evaluates the model there once,
+through model_terms, and hands the offo drivers the numbers they trace.
 """
 
 from __future__ import annotations
@@ -30,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import RegularizedModel, _symmetric, all_finite, eigh, model_terms, vnorm
+from .model import model_terms, vnorm
 
 Array = np.ndarray
 
@@ -53,18 +51,9 @@ class StepResult:
     hard_case: bool = False
 
 
-def solve_p1(g, sigma: float, *, gnorm: float | None = None) -> StepResult:
-    """Global minimizer of g.s + sigma/2 ||s||^2, i.e. s = -g/sigma.  Given
-    ``gnorm``, g goes unchecked, as in solve_p2."""
-    if gnorm is None:
-        g = np.asarray(g, dtype=float)
-        if g.ndim == 0:
-            g = g.reshape(1)
-        # A non-finite entry makes the norm inf or NaN; finite entries can
-        # overflow it too, so only then are the entries scanned.
-        gnorm = vnorm(g)
-        if not (gnorm < math.inf or all_finite(g)):
-            raise ValueError("gradient must be finite")
+def solve_p1(g: Array, sigma: float, gnorm: float) -> StepResult:
+    """Global minimizer of g.s + sigma/2 ||s||^2, i.e. s = -g/sigma, with
+    gnorm = ||g||."""
     if not (sigma > 0.0) or not math.isfinite(sigma):
         raise ValueError(f"sigma must be positive and finite, got {sigma}")
     if gnorm == 0.0:
@@ -144,37 +133,16 @@ def _leftmost_norm(w: Array, ghat: Array, lam1: float) -> float:
     return vnorm(ghat[_leftmost(w, lam1)])
 
 
-def solve_p2(g, H, sigma: float, *, eig=None, gnorm: float | None = None) -> StepResult:
-    """Global minimizer of g.s + 0.5 s.H.s + sigma/6 ||s||^3.
+def solve_p2(g: Array, eig: tuple[Array, Array], sigma: float, gnorm: float) -> StepResult:
+    """Global minimizer of g.s + 0.5 s.H.s + sigma/6 ||s||^3, with eig =
+    model.eigh(H) and gnorm = ||g||.
 
     The multiplier is the root of the secular equation to within a few ulps;
     OverflowError when ||s|| or the spread of H's eigenvalues overflows
-    float64.  Without ``eig`` H is checked, symmetrized and factorized here;
-    ``eig = eigh(H)`` skips all three, bit for bit the same, for an H the
-    caller vouches is finite, exactly symmetric and of g's size (a
-    DerivativeBundle's Hessian that finite_grad_norm has passed).  Likewise
-    ``gnorm = ||g||`` skips the check of g, for a g the caller vouches is a
-    finite float64 vector of that norm (that bundle's gradient, whose
-    finite_grad_norm it is).  sigma is checked either way.
+    float64.
     """
-    if gnorm is None:
-        g = np.asarray(g, dtype=float)
-        if g.ndim == 0:
-            g = g.reshape(1)
-        gnorm = vnorm(g)  # as in solve_p1
-        if not (gnorm < math.inf or all_finite(g)):
-            raise ValueError("derivatives must be finite")
     if not (sigma > 0.0) or not math.isfinite(sigma):
         raise ValueError(f"sigma must be positive and finite, got {sigma}")
-
-    if eig is None:
-        H = np.asarray(H, dtype=float)
-        if H.shape != (g.size, g.size):
-            raise ValueError(f"hessian shape {H.shape} does not match gradient size {g.size}")
-        if not all_finite(H):
-            raise ValueError("derivatives must be finite")
-        H = _symmetric(H)
-        eig = eigh(H)
     w, Q = eig
     lam1 = float(w[0])
     ghat = Q.T @ g
@@ -220,28 +188,30 @@ def solve_p2(g, H, sigma: float, *, eig=None, gnorm: float | None = None) -> Ste
 
 def certify(
     step: StepResult,
-    model: RegularizedModel,
+    g: Array,
+    H: Array | None,
+    sigma: float,
     theta1: float,
     theta2: float | None = None,
     min_eig: float | None = None,
 ) -> tuple[float, float, float] | None:
-    """Check the step conditions the outer iteration requires.
+    """Check the step conditions the outer iteration requires of a step on
+    the model of (g, H, sigma), of degree p = 1 when H is None, else 2.
 
     The conditions are m(s) - m(0) < 0, ||grad T(x,s)|| <= theta1 sigma/p!
     ||s||^p and, given theta2 at p = 2, lambda_min(H) >= -theta2 sigma ||s||,
     with H's smallest eigenvalue ``min_eig`` (required with theta2) from the
     caller's factorization.  The inequalities get relative slack
     _CERTIFY_RTOL.  Everything is read from model_terms at step.step, so this
-    is an independent predicate on (step, model).  Returns those terms,
+    is an independent predicate on (step, g, H, sigma).  Returns those terms,
     (m(0) - m(s), ||grad T(x,s)||, ||s||), when the step passes, else None.
     """
     if theta2 is not None and min_eig is None:
         raise ValueError("the curvature condition needs min_eig")
-    _, value, tgrad_norm, snorm = model_terms(model, step.step)
+    _, value, tgrad_norm, snorm = model_terms(g, H, sigma, step.step)
     if not value < 0.0:
         return None
-    p = model.degree
-    sigma = model.sigma
+    p = 1 if H is None else 2
     bound = theta1 * sigma / math.factorial(p) * snorm**p
     if tgrad_norm > bound + _CERTIFY_RTOL * max(1.0, bound):
         return None

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bounds import _ceil_snapped
-from .model import DerivativeBundle
+from .model import DerivativeBundle, eigh
 from .problems import ProblemMeta, ProblemOracle
 from .solvers import OffoConfig, RunOutcome, run_moffar, run_offar
 from .subsolver import solve_p2
@@ -245,9 +245,9 @@ def run_divergence(H: float, theta1: float, iters: int) -> DivergenceRun:
     a = H + 1.0
     sigma = 2.0 * a / math.sqrt(1.0 + a * a)
     _check(sigma < 2.0, "sigma must stay below 2")
-    g = np.array([-1.0, -1.0])
-    Hess = np.array([[0.0, 0.0], [0.0, H]])
-    step = solve_p2(g, Hess, sigma).step
+    point = DerivativeBundle(np.array([-1.0, -1.0]), np.array([[0.0, 0.0], [0.0, H]]))
+    g = point.gradient
+    step = solve_p2(g, eigh(point.hessian), sigma, point.finite_grad_norm()).step
     closed = np.array([1.0, 1.0 / a])
     _check(bool(np.all(np.abs(step - closed) <= 1e-12)),
            "subproblem solution drifted from the closed form")

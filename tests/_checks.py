@@ -23,8 +23,9 @@ import math
 
 import numpy as np
 
-from offar import (RegularizedModel, StepResult, certify, model_terms, solve_p1, solve_p2,
+from offar import (DerivativeBundle, StepResult, certify, model_terms, solve_p1, solve_p2,
                    theory_bounds)
+from offar.model import eigh
 from offar.solvers import _THETA1, _THETA2
 
 REL = 1e-9
@@ -34,6 +35,17 @@ ABS = 1e-12
 def _le(a, b, scale=1.0):
     """a <= b up to relative slack on the magnitude of either side."""
     return a <= b + REL * max(1.0, abs(b)) + ABS * max(1.0, scale)
+
+
+def solve_p2_raw(g, H, sigma):
+    """solve_p2 on a raw (g, H), through the checks a driver's point passes:
+    DerivativeBundle's shape check and symmetrization, finite_grad_norm and
+    one eigh."""
+    bundle = DerivativeBundle(g, H)
+    gnorm = bundle.finite_grad_norm()
+    if not gnorm < math.inf:
+        raise ValueError("derivatives must be finite")
+    return solve_p2(bundle.gradient, eigh(bundle.hessian), sigma, gnorm)
 
 
 def recording(oracle):
@@ -64,11 +76,9 @@ def _terms_violations(k, traced, bundle, sigma, p):
     k's traced model_reduction, taylor_grad_norm and step_norm against
     model_terms there: bit for bit, except that at p = 1 the trace keeps the
     closed form ||g||^2 / (2 sigma) of m(0) - m(s), checked to REL."""
-    if p == 1:
-        s = solve_p1(bundle.gradient, sigma).step
-    else:
-        s = solve_p2(bundle.gradient, bundle.hessian, sigma).step
-    _, value, tgrad_norm, snorm = model_terms(RegularizedModel(bundle, sigma, p), s)
+    g, H, gnorm = bundle.gradient, (bundle.hessian if p == 2 else None), bundle.finite_grad_norm()
+    s = (solve_p1(g, sigma, gnorm) if p == 1 else solve_p2(g, eigh(H), sigma, gnorm)).step
+    _, value, tgrad_norm, snorm = model_terms(g, H, sigma, s)
     traced, want = traced.tolist(), [-value, tgrad_norm, snorm]
     bad = []
     if p == 1:
@@ -151,7 +161,8 @@ def check_offo_invariants(outcome, config, points, oracle=None, check_lipschitz=
         # the curvature condition gets this checker's own smallest eigenvalue.
         taken = StepResult(steps[k], math.nan)
         min_eig = None if theta2 is None else float(np.linalg.eigvalsh(bundles[k].hessian)[0])
-        if not certify(taken, RegularizedModel(bundles[k], sigma[k], p), _THETA1, theta2, min_eig):
+        H = bundles[k].hessian if p == 2 else None
+        if not certify(taken, bundles[k].gradient, H, sigma[k], _THETA1, theta2, min_eig):
             bad.append(f"k={k}: step certificate failed (sigma={sigma[k]!r})")
         s, row_bad = _terms_violations(k, traced[k], bundles[k], sigma[k], p)
         bad += row_bad

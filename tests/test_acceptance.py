@@ -11,15 +11,14 @@ from contextlib import contextmanager
 
 import numpy as np
 
-from _checks import check_offo_invariants, recording
+from _checks import check_offo_invariants, recording, solve_p2_raw
 from conftest import ACCEPTANCE_LINES
 from test_profiles import riemann_pi
 from test_subsolver import bisect_multiplier, grid_min_1d, grid_min_2d
 
 from offar import (DerivativeBundle, OffoConfig, ProblemMeta, ProblemOracle,
-                   RegularizedModel, RunStatus, SUITE_NAMES, compute_profile,
-                   get_problem, model_terms, run_bench, run_moffar, run_offar,
-                   run_single, solve_p2)
+                   RunStatus, SUITE_NAMES, compute_profile, get_problem,
+                   model_terms, run_bench, run_moffar, run_offar, run_single)
 from offar.bounds import theory_bounds
 from offar.solvers import practical_nu0
 from offar.worstcase import (gen_first_order, gen_second_order,
@@ -121,10 +120,10 @@ def test_06_subproblem_against_grid():
             g1 = float(rng.uniform(-2.0, 2.0))
             H1 = float(rng.uniform(-2.0, 2.0))
             sigma = float(np.exp(rng.uniform(np.log(4.0), np.log(40.0))))
-            bundle = DerivativeBundle(np.array([g1]), np.array([[H1]]))
-            step = solve_p2(bundle.gradient, bundle.hessian, sigma)
+            g, H = np.array([g1]), np.array([[H1]])
+            step = solve_p2_raw(g, H, sigma)
             _, grid_val = grid_min_1d(g1, H1, sigma)
-            value = model_terms(RegularizedModel(bundle, sigma, 2), step.step)[1]
+            value = model_terms(g, H, sigma, step.step)[1]
             assert abs(value - grid_val) <= 1e-6
             if abs(g1) > 1e-12:
                 lam = sigma * abs(float(step.step[0])) / 2.0
@@ -135,9 +134,9 @@ def test_06_subproblem_against_grid():
             A = rng.uniform(-2.0, 2.0, size=(2, 2))
             H = 0.5 * (A + A.T)
             sigma = float(np.exp(rng.uniform(np.log(4.0), np.log(40.0))))
-            step = solve_p2(g, H, sigma)
+            step = solve_p2_raw(g, H, sigma)
             grid_val = grid_min_2d(g, H, sigma)
-            value = model_terms(RegularizedModel(DerivativeBundle(g, H), sigma, 2), step.step)[1]
+            value = model_terms(g, H, sigma, step.step)[1]
             assert abs(value - grid_val) <= 1e-6
         assert time.perf_counter() - t0 < 60.0
 

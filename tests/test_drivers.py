@@ -248,7 +248,7 @@ class TestCertificateErrors:
             run_offar(po, OffoConfig(degree=2, eps1=1e-6))
 
     def test_ar2_raises_on_zero_taylor_decrease(self, monkeypatch):
-        monkeypatch.setattr(solvers, "model_terms", lambda model, s: (0.0, 0.0, 0.0, 0.0))
+        monkeypatch.setattr(solvers, "model_terms", lambda g, H, sigma, s: (0.0, 0.0, 0.0, 0.0))
         po = quadratic_oracle(np.eye(2), np.ones(2), np.zeros(2))
         with pytest.raises(solvers.CertificateError, match="iteration 0"):
             run_ar2(po, Ar2Config(eps1=1e-6))
@@ -261,8 +261,8 @@ class TestFactorizations:
     def run_counted(self, monkeypatch, driver, config):
         problem = get_problem("rosenbr")  # building the suite calls eigvalsh
         counts = {"eigh": 0, "eigvalsh": 0}
-        # The helper where the drivers and solve_p2 look it up, and numpy's.
-        owners = {"eigh": (solvers, subsolver, np.linalg), "eigvalsh": (np.linalg,)}
+        # The helper where the drivers look it up, and numpy's.
+        owners = {"eigh": (solvers, np.linalg), "eigvalsh": (np.linalg,)}
         for name, modules in owners.items():
             for module in modules:
                 def counting(H, _original=getattr(module, name), _name=name):
@@ -342,9 +342,9 @@ class TestModelEvaluations:
         repeated = []
         solve = solvers.solve_p2
 
-        def recording_solve(*args, eig, **kwargs):
+        def recording_solve(g, eig, sigma, gnorm):
             repeated.append(self.repeated_leftmost(eig[0]))
-            return solve(*args, eig=eig, **kwargs)
+            return solve(g, eig, sigma, gnorm)
 
         monkeypatch.setattr(solvers, "solve_p2", recording_solve)
         problem = problem or get_problem("rosenbr")

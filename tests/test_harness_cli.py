@@ -291,9 +291,11 @@ class TestCli:
          "unknown problem 'nosuch'; choose from " + ", ".join(SUITE_NAMES)),
         (["bench", "--alg", "offar2a,bogus", "--problems", "cube"],
          "unknown algorithm 'bogus'; choose from offar1, offar2a, offar2b, moffar2, ar2"),
+        (["run", "--problem", "cube", "--alg", "ar2", "--sigma0", "1e25"],
+         "sigma0 must lie in [0.0001, 1e+20], got 1e+25"),
     ], ids=["bench-level-twice", "bench-problem-twice", "run-negative-seed",
             "run-negative-level", "run-nan-level", "bench-negative-level",
-            "run-unknown-problem", "bench-unknown-algorithm"])
+            "run-unknown-problem", "bench-unknown-algorithm", "run-sigma0-above-cap"])
     def test_usage_error_names_the_bad_value(self, argv, message, capsys):
         assert main(argv) == 1
         captured = capsys.readouterr()

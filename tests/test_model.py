@@ -4,7 +4,7 @@ import struct
 import numpy as np
 import pytest
 
-from offar import SUITE_NAMES, DerivativeBundle, RegularizedModel, model, model_terms
+from offar import SUITE_NAMES, DerivativeBundle, model, model_terms
 from offar.model import all_finite, eigh, vnorm
 from test_oracle_values import FORMULAS, guarded_points
 
@@ -118,96 +118,71 @@ class TestDerivativeBundle:
         assert not finite(DerivativeBundle(np.array([1.0, np.nan])))
 
 
-class TestRegularizedModel:
-    def bundle(self):
-        return DerivativeBundle(np.array([1.0, -2.0]),
-                                np.array([[2.0, 0.0], [0.0, 4.0]]), fvalue=7.0)
+class TestModelTerms:
+    G = np.array([1.0, -2.0])
+    H = np.array([[2.0, 0.0], [0.0, 4.0]])
 
-    def test_degree_needs_hessian(self):
-        with pytest.raises(ValueError):
-            RegularizedModel(DerivativeBundle(np.ones(2)), 1.0, 2)
-
-    def test_sigma_positive(self):
-        with pytest.raises(ValueError):
-            RegularizedModel(self.bundle(), 0.0, 2)
-
-    @pytest.mark.parametrize("sigma", [2.5, 3, np.float64(1e-3)])
-    def test_unchecked_model_is_the_constructors(self, sigma):
-        bundle = self.bundle()
-        for degree in (1, 2):
-            checked = RegularizedModel(bundle, sigma, degree)
-            unchecked = RegularizedModel._of_checked(bundle, sigma, degree)
-            assert type(unchecked) is RegularizedModel and unchecked == checked
-            assert type(unchecked.sigma) is float
+    def test_rejects_bad_sigma(self):
+        for sigma in (0.0, -1.0, math.inf, math.nan):
+            with pytest.raises(ValueError, match="sigma"):
+                model_terms(self.G, self.H, sigma, np.ones(2))
 
     def test_taylor_decrease_quadratic(self):
         # -(g.s + 0.5 s.H.s) with s = (1, 1): -(1 - 2 + 0.5*(2 + 4)) = -2
-        m = RegularizedModel(self.bundle(), 1.0, 2)
         s = np.array([1.0, 1.0])
-        assert model_terms(m, s)[0] == pytest.approx(-2.0)
+        assert model_terms(self.G, self.H, 1.0, s)[0] == pytest.approx(-2.0)
 
     def test_taylor_decrease_worked(self):
-        b = DerivativeBundle(np.array([2.0, 2.0]), np.array([[2.0, 0.0], [0.0, 2.0]]))
-        m = RegularizedModel(b, 1.0, 2)
+        g, H = np.array([2.0, 2.0]), np.array([[2.0, 0.0], [0.0, 2.0]])
         s = np.array([1.0, 1.0])
         # g.s = 4, quadratic term 2 -> decrease is -(4 + 2) = -6
-        assert model_terms(m, s)[0] == pytest.approx(-6.0)
+        assert model_terms(g, H, 1.0, s)[0] == pytest.approx(-6.0)
 
     def test_model_value_zero_step(self):
-        m1 = RegularizedModel(self.bundle(), 3.0, 1)
-        m2 = RegularizedModel(self.bundle(), 3.0, 2)
         z = np.zeros(2)
-        assert model_terms(m1, z)[1] == 0.0
-        assert model_terms(m2, z)[1] == 0.0
+        assert model_terms(self.G, None, 3.0, z)[1] == 0.0
+        assert model_terms(self.G, self.H, 3.0, z)[1] == 0.0
 
     def test_model_value_includes_regularization(self):
-        b = DerivativeBundle(np.zeros(1), np.zeros((1, 1)))
-        m = RegularizedModel(b, 6.0, 2)
         s = np.array([1.0])
         # only the sigma/(p+1)! ||s||^3 term: 6/6 = 1
-        assert model_terms(m, s)[1] == pytest.approx(1.0)
+        assert model_terms(np.zeros(1), np.zeros((1, 1)), 6.0, s)[1] == pytest.approx(1.0)
 
     def test_value_is_regularized_decrease(self):
         # m(s) = -(T(x,0) - T(x,s)) + sigma/(p+1)! ||s||^(p+1) with ||s||^2 = 2
-        b = self.bundle()
         s = np.array([1.0, 1.0])
-        decrease, value, _, snorm = model_terms(RegularizedModel(b, 6.0, 1), s)
+        decrease, value, _, snorm = model_terms(self.G, None, 6.0, s)
         assert decrease == 1.0
         assert value == pytest.approx(-1.0 + 6.0 / 2.0 * 2.0)
         assert snorm == vnorm(s)
-        decrease, value, _, snorm = model_terms(RegularizedModel(b, 6.0, 2), s)
+        decrease, value, _, snorm = model_terms(self.G, self.H, 6.0, s)
         assert decrease == -2.0
         assert value == pytest.approx(2.0 + 6.0 / 6.0 * 2.0 ** 1.5)
         assert snorm == vnorm(s)
 
     def test_model_gradient_at_zero_is_gradient(self):
         # grad m(0) = grad T(x,0) + sigma/2 ||0|| 0
-        m = RegularizedModel(self.bundle(), 5.0, 2)
-        assert model_terms(m, np.zeros(2))[2:] == (vnorm(self.bundle().gradient), 0.0)
+        assert model_terms(self.G, self.H, 5.0, np.zeros(2))[2:] == (vnorm(self.G), 0.0)
 
     def test_model_gradient_stationary_at_minimizer(self):
         # grad m(s) = grad T(x,s) + sigma/2 ||s|| s vanishes at the minimizer.
         from offar import solve_p2
-        b = self.bundle()
-        m = RegularizedModel(b, 2.5, 2)
-        r = solve_p2(b.gradient, b.hessian, 2.5)
-        tgrad = b.gradient + b.hessian @ r.step
+        g, H = self.G, self.H
+        r = solve_p2(g, eigh(H), 2.5, vnorm(g))
+        tgrad = g + H @ r.step
         assert np.linalg.norm(tgrad + 2.5 / 2.0 * vnorm(r.step) * r.step) < 1e-10
-        assert model_terms(m, r.step)[2] == vnorm(tgrad)
+        assert model_terms(g, H, 2.5, r.step)[2] == vnorm(tgrad)
 
     def test_taylor_gradient(self):
-        m = RegularizedModel(self.bundle(), 1.0, 2)
         s = np.array([1.0, 0.0])
         # grad T(x,s) = (3, -2)
-        assert model_terms(m, s)[2] == pytest.approx(np.sqrt(13.0))
+        assert model_terms(self.G, self.H, 1.0, s)[2] == pytest.approx(np.sqrt(13.0))
 
     def test_taylor_gradient_degree1_constant(self):
-        b = DerivativeBundle(np.array([3.0, 4.0]))
-        m = RegularizedModel(b, 1.0, 1)
-        assert model_terms(m, np.array([9.0, -9.0]))[2] == 5.0
-        assert model_terms(m, np.ones(2))[2] == 5.0
+        g = np.array([3.0, 4.0])
+        assert model_terms(g, None, 1.0, np.array([9.0, -9.0]))[2] == 5.0
+        assert model_terms(g, None, 1.0, np.ones(2))[2] == 5.0
 
     def test_dimension_checks(self):
-        m = RegularizedModel(self.bundle(), 1.0, 2)
         with pytest.raises(ValueError):
-            model_terms(m, np.zeros(3))
+            model_terms(self.G, self.H, 1.0, np.zeros(3))

@@ -9,7 +9,7 @@ import pytest
 from offar import (Ar2Config, NoiseSpec, OffoConfig, ProblemMeta, ProblemOracle,
                    RunStatus, SUITE_NAMES, add_noise, get_problem, make_suite,
                    run_ar2, run_offar, validate_derivatives)
-from offar.model import DerivativeBundle
+from offar.model import DerivativeBundle, eigh
 from offar.problems import _BATCH, _bundle, _helix
 from offar.subsolver import solve_p2
 
@@ -426,7 +426,7 @@ class TestBundleBuild:
     @pytest.mark.parametrize("big", [2.0**1023, DBL_MAX])
     def test_huge_entries_stay_finite(self, big):
         # Entries whose double overflows: symmetrizing keeps them finite, in
-        # the constructor, in _bundle and in solve_p2 without eig.
+        # the constructor and in _bundle, and solve_p2 steps from them.
         H = np.array([[big, -big], [-big, 1.0]])
         g = np.array([1.0, -0.0])
         ev = _bundle(lambda x, degree: (0.0, g.copy(), H.copy()))
@@ -436,8 +436,6 @@ class TestBundleBuild:
         half = np.float64(-big) / 2 + -HALF_MAX / 2
         assert DerivativeBundle(g, lopsided).hessian.tobytes() == np.array(
             [[big, half], [half, 1.0]]).tobytes()
-        D = np.diag([big, 1.0])
-        step = solve_p2(np.ones(2), D, 1.0)
+        point = DerivativeBundle(np.ones(2), np.diag([big, 1.0]))
+        step = solve_p2(point.gradient, eigh(point.hessian), 1.0, point.finite_grad_norm())
         assert np.all(np.isfinite(step.step))
-        assert step.step.tobytes() == solve_p2(np.ones(2), D, 1.0,
-                                               eig=np.linalg.eigh(D)).step.tobytes()

@@ -9,7 +9,6 @@ the model or its multiplier equation.
 
 import functools
 import math
-from dataclasses import fields
 from fractions import Fraction
 
 import numpy as np
@@ -17,8 +16,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from offar import (SUITE_NAMES, DerivativeBundle, RegularizedModel, StepResult, certify,
-                   get_problem, model_terms, solve_p1, solve_p2)
+from _checks import solve_p2_raw
+from offar import (SUITE_NAMES, DerivativeBundle, StepResult, certify, get_problem,
+                   model_terms, solve_p1, solve_p2)
 from offar.model import eigh, vnorm
 from offar.subsolver import _CERTIFY_RTOL, _HARD_CASE_RTOL, _leftmost_norm, _secular_root
 
@@ -89,38 +89,33 @@ class TestGrid1d:
 class TestSolveP1:
     def test_closed_form(self):
         g = np.array([0.3, 0.4])
-        r = solve_p1(g, 1.0)
+        r = solve_p1(g, 1.0, vnorm(g))
         np.testing.assert_allclose(r.step, [-0.3, -0.4])
-        _, value, tgrad_norm, _ = model_terms(RegularizedModel(DerivativeBundle(g), 1.0, 1), r.step)
+        _, value, tgrad_norm, _ = model_terms(g, None, 1.0, r.step)
         assert -value == pytest.approx(0.5**2 / 2.0)
         assert tgrad_norm == pytest.approx(0.5)
         assert r.multiplier == 0.0
 
     def test_scaling_with_sigma(self):
         g = np.array([2.0, -1.0])
-        r = solve_p1(g, 4.0)
+        r = solve_p1(g, 4.0, vnorm(g))
         np.testing.assert_allclose(r.step, -g / 4.0)
 
     def test_rejects_zero_gradient(self):
         with pytest.raises(ValueError):
-            solve_p1(np.zeros(2), 1.0)
-
-    @pytest.mark.parametrize("g", [[np.inf, 1.0], [1.0, np.nan]], ids=["inf", "nan"])
-    def test_rejects_nonfinite_gradient(self, g):
-        with pytest.raises(ValueError, match="gradient must be finite"):
-            solve_p1(np.array(g), 1.0)
+            solve_p1(np.zeros(2), 1.0, 0.0)
 
     def test_rejects_bad_sigma(self):
-        with pytest.raises(ValueError):
-            solve_p1(np.ones(2), 0.0)
-        with pytest.raises(ValueError):
-            solve_p1(np.ones(2), math.inf)
+        g = np.ones(2)
+        for sigma in (0.0, -1.0, math.inf, math.nan):
+            with pytest.raises(ValueError, match="sigma"):
+                solve_p1(g, sigma, vnorm(g))
 
 
 class TestSolveP2Examples:
     def test_pure_gradient(self):
         # g = -1, H = 0, sigma = 6: s solves s^2 * sigma/2 = 1 -> s = 1/sqrt(3)
-        r = solve_p2(np.array([-1.0]), np.array([[0.0]]), 6.0)
+        r = solve_p2_raw(np.array([-1.0]), np.array([[0.0]]), 6.0)
         np.testing.assert_allclose(r.step, [1.0 / math.sqrt(3.0)], rtol=1e-12)
         assert r.multiplier == pytest.approx(math.sqrt(3.0), rel=1e-12)
         s_ref, _ = grid_min_1d(-1.0, 0.0, 6.0, radius=2.0)
@@ -128,32 +123,32 @@ class TestSolveP2Examples:
 
     def test_convex_scalar(self):
         # g = -1, H = 1, sigma = 3: 3/2 s^2 + s - 1 = 0 -> s = (sqrt(7)-1)/3
-        r = solve_p2(np.array([-1.0]), np.array([[1.0]]), 3.0)
+        r = solve_p2_raw(np.array([-1.0]), np.array([[1.0]]), 3.0)
         np.testing.assert_allclose(r.step, [(math.sqrt(7.0) - 1.0) / 3.0], rtol=1e-12)
         s_ref, _ = grid_min_1d(-1.0, 1.0, 3.0, radius=2.0)
         assert r.step[0] == pytest.approx(s_ref, abs=2e-6)
 
     def test_pure_negative_curvature(self):
         # g = 0, H = -2, sigma = 2: ||s|| = 2|lambda_min|/sigma = 2, sign tie -> +2
-        r = solve_p2(np.array([0.0]), np.array([[-2.0]]), 2.0)
+        g, H = np.array([0.0]), np.array([[-2.0]])
+        r = solve_p2_raw(g, H, 2.0)
         np.testing.assert_allclose(r.step, [2.0], rtol=1e-12)
         assert r.hard_case
-        m = RegularizedModel(DerivativeBundle(np.array([0.0]), np.array([[-2.0]])), 2.0, 2)
-        value = model_terms(m, r.step)[1]
+        value = model_terms(g, H, 2.0, r.step)[1]
         assert -value == pytest.approx(4.0 / 3.0, rel=1e-12)
         _, m_ref = grid_min_1d(0.0, -2.0, 2.0, radius=2.5)
         assert value == pytest.approx(m_ref, abs=2e-6)
 
     def test_zero_gradient_psd_rejected(self):
         with pytest.raises(ValueError):
-            solve_p2(np.zeros(2), np.eye(2), 1.0)
+            solve_p2_raw(np.zeros(2), np.eye(2), 1.0)
 
     def test_hard_case_2d(self):
         # Gradient orthogonal to the negative-curvature direction.
         g = np.array([0.0, 1.0])
         H = np.diag([-1.0, 2.0])
         sigma = 0.5
-        r = solve_p2(g, H, sigma)
+        r = solve_p2_raw(g, H, sigma)
         assert r.hard_case
         # multiplier pinned at -lambda_min, radius 2 lam / sigma
         assert r.multiplier == pytest.approx(1.0, rel=1e-12)
@@ -161,46 +156,42 @@ class TestSolveP2Examples:
         # first component padded positive by the orientation rule
         assert r.step[0] > 0.0
         # s = (alpha, -1/3) with alpha^2 = 16 - 1/9: m(s) = -17/6.
-        m = RegularizedModel(DerivativeBundle(g, H), sigma, 2)
-        assert model_terms(m, r.step)[1] == pytest.approx(-17.0 / 6.0, rel=1e-12)
+        assert model_terms(g, H, sigma, r.step)[1] == pytest.approx(-17.0 / 6.0, rel=1e-12)
 
     def test_hard_case_sign_deterministic(self):
-        r1 = solve_p2(np.array([0.0, 0.0]), np.diag([-2.0, 1.0]), 2.0)
-        r2 = solve_p2(np.array([0.0, 0.0]), np.diag([-2.0, 1.0]), 2.0)
+        r1 = solve_p2_raw(np.array([0.0, 0.0]), np.diag([-2.0, 1.0]), 2.0)
+        r2 = solve_p2_raw(np.array([0.0, 0.0]), np.diag([-2.0, 1.0]), 2.0)
         np.testing.assert_array_equal(r1.step, r2.step)
         assert r1.step[0] > 0.0
 
     def test_near_hard_case_still_solves(self):
         g = np.array([1e-13, 1.0])
         H = np.diag([-1.0, 2.0])
-        r = solve_p2(g, H, 0.5)
+        r = solve_p2_raw(g, H, 0.5)
         # model stationarity regardless of which branch fired:
         # grad m(s) = grad T(x,s) + sigma/2 ||s|| s
         tgrad = g + H @ r.step
         assert np.linalg.norm(tgrad + 0.5 / 2.0 * vnorm(r.step) * r.step) < 1e-9
 
-    def test_shape_and_finiteness_errors(self):
-        with pytest.raises(ValueError):
-            solve_p2(np.ones(2), np.eye(3), 1.0)
-        with pytest.raises(ValueError):
-            solve_p2(np.array([np.nan, 1.0]), np.eye(2), 1.0)
-        with pytest.raises(ValueError, match="derivatives must be finite"):
-            solve_p2(np.ones(2), np.array([[1.0, np.inf], [np.inf, 1.0]]), 1.0)
-        with pytest.raises(ValueError):
-            solve_p2(np.ones(2), np.eye(2), -1.0)
+    def test_rejects_bad_sigma(self):
+        for sigma in (0.0, -1.0, math.inf, math.nan):
+            with pytest.raises(ValueError, match="sigma"):
+                solve_p2_raw(np.array([1.0, 2.0]), np.eye(2), sigma)
 
     def test_overflowing_secular_root_raises(self):
-        # ghat^2 overflows, so ||s(lam)|| = inf and the root search ends at
-        # lam = inf, which would give a zero step.
+        # The root lies closer to the pole lam = 1 than float64 resolves, so
+        # ||s(lam)||^2 overflows one ulp above it and the root search ends at
+        # lam = inf, which would give a zero step.  (A gradient whose own
+        # squared norm overflows ends a run in finite_grad_norm instead.)
         with np.errstate(over="ignore"), pytest.raises(OverflowError, match="not finite"):
-            solve_p2(np.array([1e160, 1e160]), np.eye(2), 1.0)
+            solve_p2_raw(np.array([1e150, 1e150]), np.diag([-1.0, 2.0]), 1e-300)
 
     def test_overflowing_eigenvalue_spread_raises(self):
         # A finite H whose eigenvalues lie more than DBL_MAX apart: the secular
         # root's start squares half an eigenvalue, which overflows to inf.
         H = np.array([[2.0**1023, 2.0**1023], [2.0**1023, -1.0]])
         with np.errstate(over="ignore"), pytest.raises(OverflowError, match="not finite"):
-            solve_p2(np.array([1.0, 1.0]), H, 1e300)
+            solve_p2_raw(np.array([1.0, 1.0]), H, 1e300)
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_overflowing_eigenvalue_spread_raises_without_warning(self):
@@ -208,13 +199,7 @@ class TestSolveP2Examples:
         # numpy's w - lam1 overflows, so no RuntimeWarning comes first.
         H = np.array([[2.0**1023, 2.0**1023], [2.0**1023, -1.0]])
         with pytest.raises(OverflowError, match="not finite"):
-            solve_p2(np.array([1.0, 1.0]), H, 1e300)
-
-
-def same_result(a, b):
-    """StepResults equal field by field, byte for byte."""
-    return all(np.asarray(getattr(a, f.name)).tobytes() == np.asarray(getattr(b, f.name)).tobytes()
-               for f in fields(StepResult))
+            solve_p2_raw(np.array([1.0, 1.0]), H, 1e300)
 
 
 def scaled_p2_instances():
@@ -241,9 +226,8 @@ class TestSolveP2Properties:
             A = rng.uniform(-2.0, 2.0, (2, 2))
             H = 0.5 * (A + A.T)
             sigma = float(np.exp(rng.uniform(np.log(4.0), np.log(40.0))))
-            r = solve_p2(g, H, sigma)
-            m = RegularizedModel(DerivativeBundle(g, H), sigma, 2)
-            mv = model_terms(m, r.step)[1]
+            r = solve_p2_raw(g, H, sigma)
+            mv = model_terms(g, H, sigma, r.step)[1]
             assert mv < 0.0
             assert mv <= grid_min_2d(g, H, sigma) + 1e-9
 
@@ -256,7 +240,7 @@ class TestSolveP2Properties:
                 continue
             H1 = float(rng.uniform(-3.0, 3.0))
             sigma = float(np.exp(rng.uniform(np.log(2.0), np.log(30.0))))
-            r = solve_p2(np.array([g1]), np.array([[H1]]), sigma)
+            r = solve_p2_raw(np.array([g1]), np.array([[H1]]), sigma)
             lam_ref = bisect_multiplier(g1, H1, sigma)
             assert r.multiplier == pytest.approx(lam_ref, rel=1e-10, abs=1e-10)
             count += 1
@@ -270,7 +254,7 @@ class TestSolveP2Properties:
             A = rng.normal(size=(n, n))
             H = 0.5 * (A + A.T)
             sigma = float(np.exp(rng.uniform(np.log(0.5), np.log(50.0))))
-            r = solve_p2(g, H, sigma)
+            r = solve_p2_raw(g, H, sigma)
             assert r.multiplier == pytest.approx(
                 sigma * np.linalg.norm(r.step) / 2.0, rel=1e-9)
 
@@ -280,7 +264,7 @@ class TestSolveP2Properties:
         A = np.array([[1.0, 0.2, 0.0], [0.2, -0.5, 0.1], [0.0, 0.1, 2.0]])
         H = 0.5 * (A + A.T)
         sigmas = np.exp(np.linspace(np.log(0.05), np.log(500.0), 20))
-        norms = [float(np.linalg.norm(solve_p2(g, H, s).step)) for s in sigmas]
+        norms = [float(np.linalg.norm(solve_p2_raw(g, H, s).step)) for s in sigmas]
         assert all(a > b for a, b in zip(norms, norms[1:]))
 
     def test_tail_matches_model_terms(self):
@@ -289,11 +273,11 @@ class TestSolveP2Properties:
         # the bundle symmetrizes it, then g.s + s.Hs/2 + sigma/6 ||s||^3 and
         # ||g + H s||) bit for bit, hard cases included.
         for g, A, sigma in scaled_p2_instances():
-            s = solve_p2(g, A, sigma).step
+            s = solve_p2_raw(g, A, sigma).step
             bundle = DerivativeBundle(g, A)
             Hs = bundle.hessian @ s
             reduction = -(float(g @ s) + 0.5 * float(s @ Hs) + sigma / 6.0 * vnorm(s) ** 3)
-            _, value, tgrad_norm, snorm = model_terms(RegularizedModel(bundle, sigma, 2), s)
+            _, value, tgrad_norm, snorm = model_terms(g, bundle.hessian, sigma, s)
             assert value == -reduction
             assert tgrad_norm == vnorm(g + Hs)
             assert snorm == vnorm(s)
@@ -305,9 +289,8 @@ class TestSolveP2Properties:
             g = rng.normal(size=n)
             A = rng.normal(size=(n, n))
             H = 0.5 * (A + A.T)
-            r = solve_p2(g, H, 2.0)
-            m = RegularizedModel(DerivativeBundle(g, H), 2.0, 2)
-            assert -model_terms(m, r.step)[1] > 0.0
+            r = solve_p2_raw(g, H, 2.0)
+            assert -model_terms(g, H, 2.0, r.step)[1] > 0.0
 
 
 def secular_inputs(rng, n):
@@ -369,17 +352,6 @@ class TestSecularRootReference:
                 misses.append((i, lam))
         assert misses == []
 
-    def test_given_eigendecomposition_changes_no_bit(self):
-        # A rotated, exactly symmetric H: solve_p2 with the caller's eigh
-        # must return what it computes on its own, field by field.
-        rng = np.random.default_rng(7)
-        for w, ghat, sigma in seeded_batch():
-            Q, _ = np.linalg.qr(rng.standard_normal((w.size, w.size)))
-            H = (Q * w) @ Q.T
-            H = 0.5 * (H + H.T)
-            g = Q @ ghat
-            assert same_result(solve_p2(g, H, sigma), solve_p2(g, H, sigma, eig=np.linalg.eigh(H)))
-
     def test_masked_hard_case_calls(self):
         # The call solve_p2 makes when g is orthogonal to the leftmost
         # eigenspace: leftmost pairs dropped, lam_low = -lambda_1 > 0.  It only
@@ -409,7 +381,7 @@ class TestSecularRootReference:
         # interior equation has a root: the masked secular branch runs.
         H = np.diag([-1.0, 2.0, 5.0])
         g = np.array([0.0, 3.0, -4.0])
-        r = solve_p2(g, H, 10.0)
+        r = solve_p2_raw(g, H, 10.0)
         assert not r.hard_case
         assert near_secular_root([2.0, 5.0], [9.0, 16.0], 10.0, r.multiplier)
 
@@ -505,59 +477,6 @@ class TestHardCaseScreen:
             self.assert_same(w, ghat)
 
 
-def suite_points():
-    """Each suite problem's bundle at its start and at two later points."""
-    for name in SUITE_NAMES:
-        problem = get_problem(name)
-        x = problem.x0
-        for _ in range(3):
-            bundle = problem.evaluate(x)
-            yield bundle
-            x = x + solve_p2(bundle.gradient, bundle.hessian, 1.0).step
-
-
-class TestVouchedInputs:
-    """With the gradient's norm (and the Hessian's eigh) from the caller,
-    solve_p1 and solve_p2 return the public path's result, byte for byte."""
-
-    def bundles(self):
-        for g, A, _ in scaled_p2_instances():
-            yield DerivativeBundle(g, A)
-        yield from suite_points()
-
-    def test_same_results(self):
-        count = hard = 0
-        for bundle in self.bundles():
-            g, H = bundle.gradient, bundle.hessian
-            gnorm = bundle.finite_grad_norm()
-            assert gnorm < math.inf
-            eig = eigh(H)
-            for sigma in (1e-3, 1.0, 1e3):
-                own = solve_p2(g, H, sigma)
-                assert same_result(solve_p2(g, H, sigma, gnorm=gnorm), own)
-                assert same_result(solve_p2(g, H, sigma, eig=eig, gnorm=gnorm), own)
-                if gnorm > 0.0:  # solve_p1 rejects a zero gradient either way
-                    assert same_result(solve_p1(g, sigma, gnorm=gnorm), solve_p1(g, sigma))
-                count += 1
-                hard += own.hard_case
-        assert count == 3 * (200 + 3 * len(SUITE_NAMES)) and hard > 0
-
-    def test_sigma_still_checked(self):
-        g, H = np.array([1.0, 2.0]), np.eye(2)
-        for sigma in (0.0, -1.0, math.inf, math.nan):
-            with pytest.raises(ValueError, match="sigma"):
-                solve_p1(g, sigma, gnorm=vnorm(g))
-            with pytest.raises(ValueError, match="sigma"):
-                solve_p2(g, H, sigma, eig=eigh(H), gnorm=vnorm(g))
-
-    @pytest.mark.filterwarnings("error::RuntimeWarning")
-    def test_overflowing_eigenvalue_spread_raises(self):
-        H = np.array([[2.0**1023, 2.0**1023], [2.0**1023, -1.0]])
-        g = np.array([1.0, 1.0])
-        with pytest.raises(OverflowError, match="not finite"):
-            solve_p2(g, H, 1e300, eig=eigh(H), gnorm=vnorm(g))
-
-
 @st.composite
 def cubic_problems(draw):
     """Diagonal H (so eigh is exact) with eigenvalues of either sign over
@@ -581,7 +500,7 @@ class TestSolveP2Hypothesis:
     @given(cubic_problems())
     def test_exact_minimizer(self, problem):
         w, g, sigma = problem
-        r = solve_p2(g, np.diag(w), sigma)
+        r = solve_p2_raw(g, np.diag(w), sigma)
         assert w[0] + r.multiplier >= 0.0
         if not r.hard_case:
             # Mirror solve_p2's branch: a gradient orthogonal to the leftmost
@@ -590,8 +509,7 @@ class TestSolveP2Hypothesis:
             if not (w[0] < 0.0 and vnorm(g[~keep]) <= _HARD_CASE_RTOL * vnorm(g)):
                 keep[:] = True
             assert near_secular_root(w[keep], g[keep] ** 2, sigma, r.multiplier)
-        m = RegularizedModel(DerivativeBundle(g, np.diag(w)), sigma, 2)
-        assert model_terms(m, r.step)[1] < 0.0
+        assert model_terms(g, np.diag(w), sigma, r.step)[1] < 0.0
 
 
 class TestCertify:
@@ -599,64 +517,60 @@ class TestCertify:
         g = np.array([-1.0, 0.5])
         H = np.array([[1.0, 0.0], [0.0, 2.0]])
         sigma = 3.0
-        r = solve_p2(g, H, sigma)
-        m = RegularizedModel(DerivativeBundle(g, H), sigma, 2)
-        return r, m, theta1
+        return solve_p2_raw(g, H, sigma), (g, H, sigma), theta1
 
     def test_exact_step_passes_at_theta_one(self):
-        r, m, theta1 = self.exact_setup()
-        assert certify(r, m, theta1)
-        assert certify(r, m, theta1, theta2=1.0, min_eig=1.0)
+        r, point, theta1 = self.exact_setup()
+        assert certify(r, *point, theta1)
+        assert certify(r, *point, theta1, theta2=1.0, min_eig=1.0)
 
     def test_shrunk_step_fails(self):
-        r, m, theta1 = self.exact_setup()
+        r, point, theta1 = self.exact_setup()
         shrunk = StepResult(step=0.9 * r.step, multiplier=r.multiplier)
-        assert not certify(shrunk, m, theta1)
+        assert not certify(shrunk, *point, theta1)
 
     def test_inflated_step_still_passes(self):
         # Inflating the step loosens both one-sided inequalities here.
-        r, m, theta1 = self.exact_setup()
+        r, point, theta1 = self.exact_setup()
         grown = StepResult(step=1.1 * r.step, multiplier=r.multiplier)
-        assert certify(grown, m, theta1)
+        assert certify(grown, *point, theta1)
 
     def test_descent_violation_detected(self):
-        r, m, theta1 = self.exact_setup()
+        r, point, theta1 = self.exact_setup()
         uphill = StepResult(step=-r.step, multiplier=r.multiplier)
-        assert not certify(uphill, m, theta1)
+        assert not certify(uphill, *point, theta1)
 
     def test_curvature_bound(self):
         g = np.array([0.0, 1.0])
         H = np.diag([-1.0, 2.0])
         sigma = 0.5
-        r = solve_p2(g, H, sigma)
-        m = RegularizedModel(DerivativeBundle(g, H), sigma, 2)
-        assert certify(r, m, 1.0, theta2=1.0, min_eig=-1.0)
+        r = solve_p2_raw(g, H, sigma)
+        assert certify(r, g, H, sigma, 1.0, theta2=1.0, min_eig=-1.0)
         # a zero step cannot meet the curvature certificate on this instance
         tiny = StepResult(step=np.array([0.0, -1e-8]), multiplier=0.0)
-        assert not certify(tiny, m, 1.0, theta2=1.0, min_eig=-1.0)
+        assert not certify(tiny, g, H, sigma, 1.0, theta2=1.0, min_eig=-1.0)
 
     def test_curvature_needs_min_eig(self):
-        r, m, theta1 = self.exact_setup()
+        r, point, theta1 = self.exact_setup()
         with pytest.raises(ValueError, match="min_eig"):
-            certify(r, m, theta1, theta2=1.0)
+            certify(r, *point, theta1, theta2=1.0)
 
     def test_recomputes_from_model(self):
         # certify reads only the step, and hands back model_terms' numbers
         # there, (m(0) - m(s), ||grad T(x,s)||, ||s||), bit for bit, hard
         # cases included.
         for g, A, sigma in scaled_p2_instances():
-            r = solve_p2(g, A, sigma)
+            r = solve_p2_raw(g, A, sigma)
             lied = StepResult(r.step, multiplier=math.nan, hard_case=not r.hard_case)
-            model = RegularizedModel(DerivativeBundle(g, A), sigma, 2)
-            _, value, tgrad_norm, snorm = model_terms(model, r.step)
-            assert certify(lied, model, 2.0) == (-value, tgrad_norm, snorm)
+            H = DerivativeBundle(g, A).hessian
+            _, value, tgrad_norm, snorm = model_terms(g, H, sigma, r.step)
+            assert certify(lied, g, H, sigma, 2.0) == (-value, tgrad_norm, snorm)
 
     @staticmethod
-    def reference(step, model, theta1, theta2, min_eig):
+    def reference(step, g, H, sigma, theta1, theta2, min_eig):
         """The step conditions written out, as certify's docstring states
         them, without model_terms."""
-        p, sigma, s = model.degree, model.sigma, step.step
-        g, H = model.bundle.gradient, model.bundle.hessian
+        p, s = (1 if H is None else 2), step.step
         snorm = float(np.linalg.norm(s))
         value = float(g @ s) + sigma / math.factorial(p + 1) * snorm ** (p + 1)
         tgrad = g.copy()
@@ -685,17 +599,18 @@ class TestCertify:
             min_eig = float(eigh(bundle.hessian)[0][0])
             eigvalsh_min = float(np.linalg.eigvalsh(bundle.hessian)[0])
             for sigma in (1e-2, 1.0, 1e3):
-                exact = {1: solve_p1(bundle.gradient, sigma).step,
-                         2: solve_p2(bundle.gradient, bundle.hessian, sigma).step}
+                g, gnorm = bundle.gradient, bundle.finite_grad_norm()
+                exact = {1: solve_p1(g, sigma, gnorm).step,
+                         2: solve_p2(g, eigh(bundle.hessian), sigma, gnorm).step}
                 for p, theta2 in cases:
-                    model = RegularizedModel(bundle, sigma, p)
+                    point = (g, bundle.hessian if p == 2 else None, sigma)
                     for scale in (0.0, 0.5, 1.0, 1.5, -1.0):
                         step = StepResult(scale * exact[p], math.nan)
-                        got = bool(certify(step, model, 2.0, theta2, eigvalsh_min))
-                        assert got == self.reference(step, model, 2.0, theta2, eigvalsh_min), (
+                        got = bool(certify(step, *point, 2.0, theta2, eigvalsh_min))
+                        assert got == self.reference(step, *point, 2.0, theta2, eigvalsh_min), (
                             name, sigma, p, theta2, scale)
                         # A driver's min_eig, from its eigh, decides the same.
-                        assert bool(certify(step, model, 2.0, theta2, min_eig)) == got, (
+                        assert bool(certify(step, *point, 2.0, theta2, min_eig)) == got, (
                             name, sigma, p, theta2, scale)
                         decisions[p, theta2].append(got)
         for case, got in decisions.items():

@@ -1,7 +1,10 @@
+import math
+
 import pytest
 
-from offar import (OffoConfig, SolverState, mu1_update, mu2_update, nu_update,
+from offar import (Ar2Config, OffoConfig, SolverState, mu1_update, mu2_update, nu_update,
                    sigma_select)
+from offar.solvers import _GAMMA3, _SIGMA_MIN
 
 
 class TestMu1:
@@ -119,6 +122,21 @@ class TestConfigValidation:
         base.update(kw)
         with pytest.raises(ValueError):
             OffoConfig(**base)
+
+    @pytest.mark.parametrize("nu0", [math.inf, math.nan])
+    def test_nu0_must_be_positive_and_finite(self, nu0):
+        with pytest.raises(ValueError, match="nu0 must be positive and finite"):
+            OffoConfig(nu0=nu0)
+
+    @pytest.mark.parametrize("sigma0", [0.0, 0.5 * _SIGMA_MIN, 1e25, math.inf, math.nan])
+    def test_ar2_sigma0_must_lie_below_the_cap(self, sigma0):
+        # Above _GAMMA3 a rejection would lower sigma to the cap.
+        with pytest.raises(ValueError, match="sigma0 must lie in"):
+            Ar2Config(sigma0=sigma0)
+
+    def test_ar2_sigma0_bounds_admitted(self):
+        assert Ar2Config(sigma0=_SIGMA_MIN).sigma0 == _SIGMA_MIN
+        assert Ar2Config(sigma0=_GAMMA3).sigma0 == _GAMMA3
 
     def test_good_config_roundtrip(self):
         cfg = OffoConfig(degree=1, eps1=1e-3)
