@@ -14,8 +14,8 @@ asks the oracle for derivatives up to degree p, so offar1 reads gradients
 only.
 
 run_ar2 is the classical function-value-based adaptive regularization
-baseline, sharing the same exact subproblem solver; it is the only driver
-that reads fvalue.
+baseline.  Every driver takes its step through _step (the exact subproblem
+minimizer, checked by certify); ar2 is the only driver that reads fvalue.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from enum import Enum
 
 import numpy as np
 
-from .model import DerivativeBundle, eigh, model_terms
+from .model import DerivativeBundle, eigh
 from .subsolver import certify, solve_p1, solve_p2
 from .trace import RunTrace
 
@@ -130,16 +130,6 @@ class Ar2Config:
 
 
 @dataclass
-class SolverState:
-    """Mutable per-run record consumed by the scalar update rules."""
-
-    nu: float = 1.0
-    sigma: float = 1.0
-    mu1: float | None = None
-    mu2: float | None = None
-
-
-@dataclass
 class RunOutcome:
     status: RunStatus
     final_x: Array
@@ -174,24 +164,23 @@ def nu_update(nu: float, step_norm: float, p: int) -> float:
     return nu + nu * step_norm ** (p + 1)
 
 
-def sigma_select(state: SolverState, config: OffoConfig) -> float:
-    """Pick sigma_k inside [vartheta nu_k, max(nu_k, mu1_k[, mu2_k])].
+def sigma_select(nu: float, sigma_prev: float, mu1: float, mu2: float | None,
+                 config: OffoConfig) -> float:
+    """Pick sigma_k inside [vartheta nu_k, max(nu_k, mu1_k[, mu2_k])], with
+    mu2 = None outside run_moffar.
 
     Strict mode takes the mu estimates at face value.  Practical mode takes
-    max(vartheta nu_k, mu1_k, _SIGMA_FALL * sigma_{k-1}) (state.sigma still
-    holds sigma_{k-1}).  The clamp into the interval is a guard in strict
-    mode; in practical mode it binds when _SIGMA_FALL * sigma_{k-1} exceeds
-    max(nu_k, mu_k).
+    max(vartheta nu_k, mu1_k, _SIGMA_FALL * sigma_{k-1}).  The clamp into the
+    interval is a guard in strict mode; in practical mode it binds when
+    _SIGMA_FALL * sigma_{k-1} exceeds max(nu_k, mu_k).
     """
-    if state.mu1 is None:
-        raise ValueError("sigma_select needs mu1 (k >= 1)")
-    mus = (state.mu1,) if state.mu2 is None else (state.mu1, state.mu2)
-    lo = config.vartheta * state.nu
+    mus = (mu1,) if mu2 is None else (mu1, mu2)
+    lo = config.vartheta * nu
     if config.strict_mode:
         value = max(lo, *mus)
     else:
-        value = max(lo, state.mu1, _SIGMA_FALL * state.sigma)
-    return min(value, max(max(state.nu, *mus), lo))
+        value = max(lo, mu1, _SIGMA_FALL * sigma_prev)
+    return min(value, max(max(nu, *mus), lo))
 
 
 def _factorize(bundle: DerivativeBundle) -> tuple:
@@ -213,6 +202,20 @@ def _finish(trace: RunTrace, status: RunStatus, x: Array, gnorm: float, k: int,
     """End a run: append the terminal row, so K iterations give K + 1 rows."""
     trace.append(k=k, grad_norm=gnorm, min_eig=min_eig, **row)
     return RunOutcome(status, x, gnorm, k, trace, final_min_eig=min_eig)
+
+
+def _step(k: int, p: int, bundle: DerivativeBundle, eig, gnorm: float, sigma: float,
+          theta2: float | None = None, min_eig: float | None = None) -> tuple[Array, tuple]:
+    """Every driver's step: the exact minimizer s of the degree-p model of
+    (bundle, sigma), and certify's model_terms there, (T(x,0) - T(x,s),
+    m(s) - m(0), ||grad T(x,s)||, ||s||).  CertificateError if s fails."""
+    g = bundle.gradient
+    s = (solve_p1(g, sigma, gnorm) if p == 1 else solve_p2(g, eig, sigma, gnorm)).step
+    # H = None makes the model degree 1, whatever else the evaluator returned.
+    terms = certify(s, g, bundle.hessian if p == 2 else None, sigma, _THETA1, theta2, min_eig)
+    if not terms:
+        raise CertificateError(f"step conditions failed at iteration {k} (sigma={sigma!r})")
+    return s, terms
 
 
 def run_offar(problem, config: OffoConfig) -> RunOutcome:
@@ -248,62 +251,43 @@ def _run_offo(problem, config: OffoConfig, *, second_order: bool) -> RunOutcome:
     if not gnorm < math.inf:
         return _finish(trace, RunStatus.ORACLE_OVERFLOW, x, math.nan, 0)
 
-    nu0 = config.nu0 if config.nu0 is not None else practical_nu0(gnorm)
-    state = SolverState(nu=nu0, sigma=nu0)
-    prev_step_norm = None
+    nu = sigma = config.nu0 if config.nu0 is not None else practical_nu0(gnorm)
+    mu1 = mu2 = None
+    theta2 = _THETA2 if second_order else None
+    # One factorization per point feeds the stop test, mu2, the step, certify, the trace.
+    eig, min_eig = _factorize(bundle) if p == 2 else (None, None)
 
     k = 0
     while True:
-        # One factorization per point feeds the stop test, mu2, the step, certify, the trace.
-        eig, min_eig = _factorize(bundle) if p == 2 else (None, None)
         stop = gnorm <= config.eps1 and (not second_order or min_eig >= -config.eps2)
         if stop or k >= config.max_iter:
             break
 
-        if k == 0:
-            sigma = nu0
-        else:
-            state.mu1 = mu1_update(gnorm, prev_step_norm, state.sigma, _THETA1, p)
-            if second_order:
-                state.mu2 = mu2_update(min_eig, prev_step_norm, state.sigma, _THETA2, p)
-            sigma = sigma_select(state, config)
-        state.sigma = sigma
+        s, (_, value, tgrad_norm, snorm) = _step(k, p, bundle, eig, gnorm, sigma, theta2, min_eig)
+        trace.append(k=k, grad_norm=gnorm, sigma=sigma, nu=nu, mu1=mu1, mu2=mu2, step_norm=snorm,
+                     model_reduction=-value, taylor_grad_norm=tgrad_norm, min_eig=min_eig,
+                     fvalue=bundle.fvalue)
 
-        if p == 1:
-            step = solve_p1(bundle.gradient, sigma, gnorm)
-        else:
-            step = solve_p2(bundle.gradient, eig, sigma, gnorm)
-        # H = None makes the model degree 1, whatever else the evaluator returned.
-        terms = certify(step, bundle.gradient, bundle.hessian if p == 2 else None, sigma,
-                        _THETA1, _THETA2 if second_order else None, min_eig)
-        if not terms:
-            raise CertificateError(
-                f"step conditions failed at iteration {k} (sigma={sigma!r})")
-        reduction, tgrad_norm, snorm = terms
-        if p == 1:  # m(0) - m(s) in closed form at -g/sigma; model_terms' differs in the last bits
-            reduction = gnorm**2 / (2.0 * sigma)
-
-        trace.append(
-            k=k, grad_norm=gnorm, sigma=sigma, nu=state.nu, mu1=state.mu1,
-            mu2=state.mu2, step_norm=snorm, model_reduction=reduction,
-            taylor_grad_norm=tgrad_norm, min_eig=min_eig, fvalue=bundle.fvalue,
-        )
-
-        x = x + step.step
-        state.nu = nu_update(state.nu, snorm, p)
-        prev_step_norm = snorm
+        x = x + s
+        nu = nu_update(nu, snorm, p)
         k += 1
 
         bundle = problem.evaluate(x, p)
         gnorm = bundle.finite_grad_norm()
         if not gnorm < math.inf:
-            return _finish(trace, RunStatus.ORACLE_OVERFLOW, x, math.nan, k, nu=state.nu)
+            return _finish(trace, RunStatus.ORACLE_OVERFLOW, x, math.nan, k, nu=nu)
+        eig, min_eig = _factorize(bundle) if p == 2 else (None, None)
+        # The weights of iteration k, from step k - 1.
+        mu1 = mu1_update(gnorm, snorm, sigma, _THETA1, p)
+        if second_order:
+            mu2 = mu2_update(min_eig, snorm, sigma, _THETA2, p)
+        sigma = sigma_select(nu, sigma, mu1, mu2, config)
 
     if stop:
         status = RunStatus.SECOND_ORDER if second_order else RunStatus.FIRST_ORDER
     else:
         status = RunStatus.MAX_ITERATIONS
-    return _finish(trace, status, x, gnorm, k, min_eig, nu=state.nu, fvalue=bundle.fvalue)
+    return _finish(trace, status, x, gnorm, k, min_eig, nu=nu, fvalue=bundle.fvalue)
 
 
 @np.errstate(over="ignore")  # as in _run_offo
@@ -331,12 +315,8 @@ def run_ar2(problem, config: Ar2Config) -> RunOutcome:
 
     k = 0
     while not gnorm <= config.eps1 and k < config.max_iter:
-        step = solve_p2(bundle.gradient, eig, sigma, gnorm)
-        decrease, value, tgrad_norm, snorm = model_terms(
-            bundle.gradient, bundle.hessian, sigma, step.step)
-        if not (value < 0.0 and decrease > 0.0):
-            raise CertificateError(f"degenerate subproblem solution at iteration {k}")
-        trial_x = x + step.step
+        s, (decrease, value, tgrad_norm, snorm) = _step(k, 2, bundle, eig, gnorm, sigma)
+        trial_x = x + s
         trial = problem.evaluate(trial_x)
         trial_gnorm = trial.finite_grad_norm()
         overflow = (trial.fvalue is None or not math.isfinite(trial.fvalue)

@@ -18,7 +18,7 @@ gradient g with its finite_grad_norm ``gnorm`` and ``eig = model.eigh(H)``
 of its Hessian, which the drivers compute once per point; moffar2 also hands
 certify the smallest eigenvalue as ``min_eig``.  Only sigma is checked here.
 The solvers return the step alone; certify evaluates the model there once,
-through model_terms, and hands the offo drivers the numbers they trace.
+through model_terms, and hands every driver the numbers it traces.
 """
 
 from __future__ import annotations
@@ -187,28 +187,29 @@ def solve_p2(g: Array, eig: tuple[Array, Array], sigma: float, gnorm: float) -> 
 
 
 def certify(
-    step: StepResult,
+    s: Array,
     g: Array,
     H: Array | None,
     sigma: float,
     theta1: float,
     theta2: float | None = None,
     min_eig: float | None = None,
-) -> tuple[float, float, float] | None:
-    """Check the step conditions the outer iteration requires of a step on
+) -> tuple[float, float, float, float] | None:
+    """Check the step conditions the outer iteration requires of a step s on
     the model of (g, H, sigma), of degree p = 1 when H is None, else 2.
 
     The conditions are m(s) - m(0) < 0, ||grad T(x,s)|| <= theta1 sigma/p!
     ||s||^p and, given theta2 at p = 2, lambda_min(H) >= -theta2 sigma ||s||,
     with H's smallest eigenvalue ``min_eig`` (required with theta2) from the
     caller's factorization.  The inequalities get relative slack
-    _CERTIFY_RTOL.  Everything is read from model_terms at step.step, so this
-    is an independent predicate on (step, g, H, sigma).  Returns those terms,
-    (m(0) - m(s), ||grad T(x,s)||, ||s||), when the step passes, else None.
+    _CERTIFY_RTOL.  Everything is read from model_terms at s, so this is an
+    independent predicate on (s, g, H, sigma).  Returns model_terms' tuple
+    when the step passes, else None.
     """
     if theta2 is not None and min_eig is None:
         raise ValueError("the curvature condition needs min_eig")
-    _, value, tgrad_norm, snorm = model_terms(g, H, sigma, step.step)
+    terms = model_terms(g, H, sigma, s)
+    _, value, tgrad_norm, snorm = terms
     if not value < 0.0:
         return None
     p = 1 if H is None else 2
@@ -219,4 +220,4 @@ def certify(
         cbound = theta2 * sigma * snorm
         if min_eig < -cbound - _CERTIFY_RTOL * max(1.0, cbound):
             return None
-    return -value, tgrad_norm, snorm
+    return terms

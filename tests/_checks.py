@@ -10,7 +10,10 @@ so step k is the realized displacement x_{k+1} - x_k: the step actually
 taken, which is also the s that the Taylor error bounds against the
 derivatives at x_{k+1} need.  The traced model terms are checked bit for bit
 instead, against model_terms at the step solved anew from the recorded
-bundle and the traced sigma, which must carry x_k to x_{k+1} exactly.
+bundle and the traced sigma, which must carry x_k to x_{k+1} exactly, and
+so is the weight recursion (nu, mu1, mu2, sigma), recomputed from the row
+before with the rule written out here rather than through the drivers'
+update functions.
 
 Inequalities that hold with equality in exact arithmetic (certificates at
 theta = 1, Lipschitz identities on quadratics where L2 = 0) are given a
@@ -23,8 +26,7 @@ import math
 
 import numpy as np
 
-from offar import (DerivativeBundle, StepResult, certify, model_terms, solve_p1, solve_p2,
-                   theory_bounds)
+from offar import DerivativeBundle, certify, model_terms, solve_p1, solve_p2, theory_bounds
 from offar.model import eigh
 from offar.solvers import _THETA1, _THETA2
 
@@ -74,21 +76,62 @@ def _traced_terms(trace):
 def _terms_violations(k, traced, bundle, sigma, p):
     """The step a driver takes at (bundle, sigma), and the violations of row
     k's traced model_reduction, taylor_grad_norm and step_norm against
-    model_terms there: bit for bit, except that at p = 1 the trace keeps the
-    closed form ||g||^2 / (2 sigma) of m(0) - m(s), checked to REL."""
+    model_terms there, bit for bit."""
     g, H, gnorm = bundle.gradient, (bundle.hessian if p == 2 else None), bundle.finite_grad_norm()
     s = (solve_p1(g, sigma, gnorm) if p == 1 else solve_p2(g, eigh(H), sigma, gnorm)).step
     _, value, tgrad_norm, snorm = model_terms(g, H, sigma, s)
     traced, want = traced.tolist(), [-value, tgrad_norm, snorm]
-    bad = []
-    if p == 1:
-        if not (_le(traced[0], want[0]) and _le(want[0], traced[0])):
-            bad.append(f"k={k}: model_reduction {traced[0]!r} is not m(0) - m(s) = {want[0]!r}")
-        traced[0] = want[0]
     if _bits(*traced) != _bits(*want):
-        bad.append(f"k={k}: traced (m(0) - m(s), ||grad T||, ||s||) = {traced!r}, "
-                   f"model_terms gives {want!r}")
-    return s, bad
+        return s, [f"k={k}: traced (m(0) - m(s), ||grad T||, ||s||) = {traced!r}, "
+                   f"model_terms gives {want!r}"]
+    return s, []
+
+
+def _weight_violations(trace, config, K):
+    """The weight recursion recomputed row by row, bit for bit, from row k's
+    traced grad_norm and min_eig and the step_norm, nu and sigma of the row
+    before, with the rule written out here in the drivers' float operations:
+
+        nu_0 = sigma_0 = nu0, or max(1e-6, 6 ||g_0||) without one,
+        nu_(k+1) = nu_k + nu_k ||s_k||^(p+1),
+        mu1_k = p! ||g_k|| / ||s_(k-1)||^p - theta1 sigma_(k-1),
+        mu2_k = (p-1)! max(0, -lambda_k) / ||s_(k-1)||^(p-1) - theta2 sigma_(k-1)
+                (second order only),
+        sigma_k = min(v, max(nu_k, mu_k, vartheta nu_k)), where v is
+                  max(vartheta nu_k, mu_k) in strict mode and
+                  max(vartheta nu_k, mu1_k, sigma_(k-1) / 2) in practical mode.
+    """
+    if K == 0:
+        return []
+    p, second_order = config.degree, config.eps2 is not None
+    nu, sigma, gnorm, snorm, lam, mu1, mu2 = (
+        trace.column(name).tolist()
+        for name in ("nu", "sigma", "grad_norm", "step_norm", "min_eig", "mu1", "mu2"))
+    bad = []
+    nu0 = config.nu0 if config.nu0 is not None else max(1e-6, 6.0 * gnorm[0])
+    if _bits(nu[0], sigma[0]) != _bits(nu0, nu0):
+        bad.append(f"k=0: (nu, sigma) = {(nu[0], sigma[0])!r}, the rule gives nu0 = {nu0!r}")
+    for k in range(1, K + 1):
+        want = nu[k - 1] + nu[k - 1] * snorm[k - 1] ** (p + 1)
+        if _bits(nu[k]) != _bits(want):
+            bad.append(f"k={k}: nu={nu[k]!r}, the recursion gives {want!r}")
+        if k == K:
+            break
+        want_mu1 = math.factorial(p) * gnorm[k] / snorm[k - 1] ** p - _THETA1 * sigma[k - 1]
+        mus = [want_mu1]
+        if second_order:
+            mus.append(math.factorial(p - 1) * max(0.0, -lam[k]) / snorm[k - 1] ** (p - 1)
+                       - _THETA2 * sigma[k - 1])
+        lo = config.vartheta * nu[k]
+        if config.strict_mode:
+            value = max(lo, *mus)
+        else:
+            value = max(lo, want_mu1, 0.5 * sigma[k - 1])
+        want = [*mus, min(value, max(nu[k], *mus, lo))]
+        got = [mu1[k], mu2[k], sigma[k]] if second_order else [mu1[k], sigma[k]]
+        if _bits(*got) != _bits(*want) or not (second_order or math.isnan(mu2[k])):
+            bad.append(f"k={k}: (mu1[, mu2], sigma) = {got!r}, the recursion gives {want!r}")
+    return bad
 
 
 def check_ar2_terms(outcome, points):
@@ -143,10 +186,7 @@ def check_offo_invariants(outcome, config, points, oracle=None, check_lipschitz=
     gnorm = tr.column("grad_norm")
     fval = tr.column("fvalue")
 
-    for k in range(K):
-        if not nu[k + 1] >= nu[k]:
-            bad.append(f"k={k}: nu decreased {nu[k]!r} -> {nu[k + 1]!r}")
-
+    bad += _weight_violations(tr, config, K)
     for k in range(1, K):
         lo = config.vartheta * nu[k]
         hi = max(nu[k], mu1[k], mu2[k]) if not math.isnan(mu2[k]) else max(nu[k], mu1[k])
@@ -157,12 +197,11 @@ def check_offo_invariants(outcome, config, points, oracle=None, check_lipschitz=
     theta2 = _THETA2 if config.eps2 is not None else None
     traced = _traced_terms(tr)
     for k in range(K):
-        # certify recomputes everything from the model and reads only the step;
-        # the curvature condition gets this checker's own smallest eigenvalue.
-        taken = StepResult(steps[k], math.nan)
+        # certify recomputes everything from the model at the step; the
+        # curvature condition gets this checker's own smallest eigenvalue.
         min_eig = None if theta2 is None else float(np.linalg.eigvalsh(bundles[k].hessian)[0])
         H = bundles[k].hessian if p == 2 else None
-        if not certify(taken, bundles[k].gradient, H, sigma[k], _THETA1, theta2, min_eig):
+        if not certify(steps[k], bundles[k].gradient, H, sigma[k], _THETA1, theta2, min_eig):
             bad.append(f"k={k}: step certificate failed (sigma={sigma[k]!r})")
         s, row_bad = _terms_violations(k, traced[k], bundles[k], sigma[k], p)
         bad += row_bad

@@ -127,6 +127,7 @@ class TestInvariants:
         low = dataclasses.replace(out, trace=trace)
         bad = check_offo_invariants(low, cfg, points, po)
         assert any(v.startswith(f"k={k}: sigma=") and "outside" in v for v in bad), bad
+        assert any(v.startswith(f"k={k}: (mu1[, mu2], sigma)") for v in bad), bad
 
 
 class TestDeterminism:
@@ -247,8 +248,8 @@ class TestCertificateErrors:
         with pytest.raises(solvers.CertificateError, match="iteration 0"):
             run_offar(po, OffoConfig(degree=2, eps1=1e-6))
 
-    def test_ar2_raises_on_zero_taylor_decrease(self, monkeypatch):
-        monkeypatch.setattr(solvers, "model_terms", lambda g, H, sigma, s: (0.0, 0.0, 0.0, 0.0))
+    def test_ar2_raises_when_certificate_fails(self, monkeypatch):
+        monkeypatch.setattr(solvers, "certify", lambda *args: None)
         po = quadratic_oracle(np.eye(2), np.ones(2), np.zeros(2))
         with pytest.raises(solvers.CertificateError, match="iteration 0"):
             run_ar2(po, Ar2Config(eps1=1e-6))
@@ -403,8 +404,8 @@ class TestModelEvaluations:
 class TestTracedModelTerms:
     """Every non-terminal row's model_reduction, taylor_grad_norm and
     step_norm are model_terms at the recorded bundle and the step, bit for
-    bit (offar1's model_reduction, a closed form, to REL); the checkers solve
-    the step anew and require it to reach the next recorded point exactly."""
+    bit; the checkers solve the step anew and require it to reach the next
+    recorded point exactly."""
 
     CONFIGS = {"offar1": OffoConfig(degree=1, eps1=1e-6, max_iter=500),
                "offar2a": OffoConfig(degree=2, eps1=1e-6),

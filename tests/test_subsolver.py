@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from _checks import solve_p2_raw
-from offar import (SUITE_NAMES, DerivativeBundle, StepResult, certify, get_problem,
+from offar import (SUITE_NAMES, DerivativeBundle, certify, get_problem,
                    model_terms, solve_p1, solve_p2)
 from offar.model import eigh, vnorm
 from offar.subsolver import _CERTIFY_RTOL, _HARD_CASE_RTOL, _leftmost_norm, _secular_root
@@ -521,56 +521,53 @@ class TestCertify:
 
     def test_exact_step_passes_at_theta_one(self):
         r, point, theta1 = self.exact_setup()
-        assert certify(r, *point, theta1)
-        assert certify(r, *point, theta1, theta2=1.0, min_eig=1.0)
+        assert certify(r.step, *point, theta1)
+        assert certify(r.step, *point, theta1, theta2=1.0, min_eig=1.0)
 
     def test_shrunk_step_fails(self):
         r, point, theta1 = self.exact_setup()
-        shrunk = StepResult(step=0.9 * r.step, multiplier=r.multiplier)
-        assert not certify(shrunk, *point, theta1)
+        assert not certify(0.9 * r.step, *point, theta1)
 
     def test_inflated_step_still_passes(self):
         # Inflating the step loosens both one-sided inequalities here.
         r, point, theta1 = self.exact_setup()
-        grown = StepResult(step=1.1 * r.step, multiplier=r.multiplier)
-        assert certify(grown, *point, theta1)
+        assert certify(1.1 * r.step, *point, theta1)
 
     def test_descent_violation_detected(self):
         r, point, theta1 = self.exact_setup()
-        uphill = StepResult(step=-r.step, multiplier=r.multiplier)
-        assert not certify(uphill, *point, theta1)
+        assert not certify(-r.step, *point, theta1)
 
     def test_curvature_bound(self):
         g = np.array([0.0, 1.0])
         H = np.diag([-1.0, 2.0])
         sigma = 0.5
         r = solve_p2_raw(g, H, sigma)
-        assert certify(r, g, H, sigma, 1.0, theta2=1.0, min_eig=-1.0)
+        assert certify(r.step, g, H, sigma, 1.0, theta2=1.0, min_eig=-1.0)
         # a zero step cannot meet the curvature certificate on this instance
-        tiny = StepResult(step=np.array([0.0, -1e-8]), multiplier=0.0)
+        tiny = np.array([0.0, -1e-8])
         assert not certify(tiny, g, H, sigma, 1.0, theta2=1.0, min_eig=-1.0)
 
     def test_curvature_needs_min_eig(self):
         r, point, theta1 = self.exact_setup()
         with pytest.raises(ValueError, match="min_eig"):
-            certify(r, *point, theta1, theta2=1.0)
+            certify(r.step, *point, theta1, theta2=1.0)
 
     def test_recomputes_from_model(self):
-        # certify reads only the step, and hands back model_terms' numbers
-        # there, (m(0) - m(s), ||grad T(x,s)||, ||s||), bit for bit, hard
-        # cases included.
+        # certify hands back model_terms' numbers at the step, bit for bit,
+        # hard cases included, and at p = 1 (H = None) at -g/sigma.
         for g, A, sigma in scaled_p2_instances():
             r = solve_p2_raw(g, A, sigma)
-            lied = StepResult(r.step, multiplier=math.nan, hard_case=not r.hard_case)
             H = DerivativeBundle(g, A).hessian
-            _, value, tgrad_norm, snorm = model_terms(g, H, sigma, r.step)
-            assert certify(lied, g, H, sigma, 2.0) == (-value, tgrad_norm, snorm)
+            assert certify(r.step, g, H, sigma, 2.0) == model_terms(g, H, sigma, r.step)
+            if g.any():
+                s = solve_p1(g, sigma, vnorm(g)).step
+                assert certify(s, g, None, sigma, 2.0) == model_terms(g, None, sigma, s)
 
     @staticmethod
-    def reference(step, g, H, sigma, theta1, theta2, min_eig):
+    def reference(s, g, H, sigma, theta1, theta2, min_eig):
         """The step conditions written out, as certify's docstring states
         them, without model_terms."""
-        p, s = (1 if H is None else 2), step.step
+        p = 1 if H is None else 2
         snorm = float(np.linalg.norm(s))
         value = float(g @ s) + sigma / math.factorial(p + 1) * snorm ** (p + 1)
         tgrad = g.copy()
@@ -605,7 +602,7 @@ class TestCertify:
                 for p, theta2 in cases:
                     point = (g, bundle.hessian if p == 2 else None, sigma)
                     for scale in (0.0, 0.5, 1.0, 1.5, -1.0):
-                        step = StepResult(scale * exact[p], math.nan)
+                        step = scale * exact[p]
                         got = bool(certify(step, *point, 2.0, theta2, eigvalsh_min))
                         assert got == self.reference(step, *point, 2.0, theta2, eigvalsh_min), (
                             name, sigma, p, theta2, scale)

@@ -2,8 +2,7 @@ import math
 
 import pytest
 
-from offar import (Ar2Config, OffoConfig, SolverState, mu1_update, mu2_update, nu_update,
-                   sigma_select)
+from offar import Ar2Config, OffoConfig, mu1_update, mu2_update, nu_update, sigma_select
 from offar.solvers import _GAMMA3, _SIGMA_MIN
 
 
@@ -53,35 +52,28 @@ class TestSigmaSelect:
         return OffoConfig(degree=2, **kw)
 
     def test_mu_dominates(self):
-        st = SolverState(nu=10.0, mu1=4.0)
-        assert sigma_select(st, self.practical()) == pytest.approx(4.0)
+        assert sigma_select(10.0, 1.0, 4.0, None, self.practical()) == pytest.approx(4.0)
 
     def test_lower_clamp(self):
-        st = SolverState(nu=10.0, sigma=1e-3, mu1=-5.0)
-        assert sigma_select(st, self.practical()) == pytest.approx(0.01)
+        assert sigma_select(10.0, 1e-3, -5.0, None, self.practical()) == pytest.approx(0.01)
 
     def test_fall_cap_binds(self):
-        st = SolverState(nu=10.0, sigma=8.0, mu1=-5.0)
-        assert sigma_select(st, self.practical()) == pytest.approx(4.0)
+        assert sigma_select(10.0, 8.0, -5.0, None, self.practical()) == pytest.approx(4.0)
 
     def test_fall_cap_clamped_to_interval(self):
-        st = SolverState(nu=10.0, sigma=100.0, mu1=4.0)
-        assert sigma_select(st, self.practical()) == pytest.approx(10.0)
+        assert sigma_select(10.0, 100.0, 4.0, None, self.practical()) == pytest.approx(10.0)
 
     def test_strict_ignores_fall_cap(self):
         cfg = OffoConfig(degree=2, strict_mode=True, nu0=1.0)
-        st = SolverState(nu=10.0, sigma=8.0, mu1=-5.0)
-        assert sigma_select(st, cfg) == pytest.approx(0.01)
+        assert sigma_select(10.0, 8.0, -5.0, None, cfg) == pytest.approx(0.01)
 
     def test_strict_takes_mu_face_value(self):
         cfg = OffoConfig(degree=2, strict_mode=True, nu0=1.0)
-        st = SolverState(nu=10.0, mu1=4.0)
-        assert sigma_select(st, cfg) == pytest.approx(4.0)
+        assert sigma_select(10.0, 1.0, 4.0, None, cfg) == pytest.approx(4.0)
 
     def test_mu2_raises_strict_choice(self):
         cfg = OffoConfig(degree=2, strict_mode=True, nu0=1.0, eps2=1e-4)
-        st = SolverState(nu=10.0, mu1=1.0, mu2=7.5)
-        assert sigma_select(st, cfg) == pytest.approx(7.5)
+        assert sigma_select(10.0, 1.0, 1.0, 7.5, cfg) == pytest.approx(7.5)
 
     def test_result_stays_in_interval(self):
         import numpy as np
@@ -89,19 +81,15 @@ class TestSigmaSelect:
         cfg_p = self.practical()
         cfg_s = OffoConfig(degree=2, strict_mode=True, nu0=1.0)
         for _ in range(200):
-            st = SolverState(nu=float(rng.uniform(1e-3, 1e3)),
-                             sigma=float(10.0 ** rng.uniform(-4.0, 4.0)),
-                             mu1=float(rng.uniform(-50.0, 50.0)),
-                             mu2=float(rng.uniform(-50.0, 50.0)) if rng.random() < 0.5 else None)
+            nu = float(rng.uniform(1e-3, 1e3))
+            sigma_prev = float(10.0 ** rng.uniform(-4.0, 4.0))
+            mu1 = float(rng.uniform(-50.0, 50.0))
+            mu2 = float(rng.uniform(-50.0, 50.0)) if rng.random() < 0.5 else None
             for cfg in (cfg_p, cfg_s):
-                val = sigma_select(st, cfg)
-                lo = cfg.vartheta * st.nu
-                hi = max(st.nu, st.mu1) if st.mu2 is None else max(st.nu, st.mu1, st.mu2)
+                val = sigma_select(nu, sigma_prev, mu1, mu2, cfg)
+                lo = cfg.vartheta * nu
+                hi = max(nu, mu1) if mu2 is None else max(nu, mu1, mu2)
                 assert lo <= val <= max(hi, lo) + 1e-15
-
-    def test_needs_mu1(self):
-        with pytest.raises(ValueError):
-            sigma_select(SolverState(nu=1.0), self.practical())
 
 
 class TestConfigValidation:
